@@ -21,16 +21,23 @@
 // Exit status: 0 when every scenario upholds its properties (and, for
 // --replay --expect-digest, the digest matches); 1 otherwise; 2 on a bad
 // command line. Every numeric flag is parsed strictly: "--count abc" is a
-// usage error, never a silent zero-scenario soak. On any violation a
+// usage error, never a silent zero-scenario soak. So is a flag given twice,
+// a soak flag given with --replay, --expect-digest without --replay, and
+// --corpus-strict without --corpus-in. On any violation a
 // minimal self-contained repro line is printed; paste it back via --replay
 // to reproduce the identical run. See fuzz/fuzzer.hpp for the full fuzzing
 // HOWTO.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
 #include "fuzz/corpus_io.hpp"
 #include "fuzz/fuzzer.hpp"
@@ -45,28 +52,12 @@ struct CliOptions {
   std::string replay;
   std::string corpus_out;
   std::string corpus_in;
-  std::uint64_t expect_digest = 0;
-  bool has_expect_digest = false;
+  std::optional<std::uint64_t> expect_digest;
   bool corpus_strict = false;
+  bool no_shrink = false;
+  bool sig_version = false;
   std::size_t progress_every = 0;
 };
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--count N] [--seed-base S] [--jobs J]\n"
-      "          [--differential-every K]\n"
-      "          [--mutate RATIO] [--fault-rate RATIO] [--dup-rate RATIO]\n"
-      "          [--large-every K] [--large-n N] [--log-every K]\n"
-      "          [--differential-max-n N]\n"
-      "          [--max-seconds S]\n"
-      "          [--corpus-out FILE] [--corpus-in FILE] [--corpus-strict]\n"
-      "          [--no-shrink] [--max-shrink-attempts A] [--progress-every P]\n"
-      "          [--no-protocol-stats] [--replay SPEC] [--expect-digest HEX]\n"
-      "          [--sig-version]\n",
-      argv0);
-  return 2;
-}
 
 void print_report(const fuzz::Scenario& s, const fuzz::RunReport& r) {
   std::printf("scenario  %s\n", fuzz::format_spec(s).c_str());
@@ -135,9 +126,9 @@ int run_replay(const CliOptions& cli) {
   print_report(*scenario, report);
 
   bool ok = report.failure == fuzz::FailureKind::kNone;
-  if (cli.has_expect_digest && report.fingerprint != cli.expect_digest) {
+  if (cli.expect_digest && report.fingerprint != *cli.expect_digest) {
     std::printf("EXPECTED  fingerprint=0x%016llx -- MISMATCH\n",
-                static_cast<unsigned long long>(cli.expect_digest));
+                static_cast<unsigned long long>(*cli.expect_digest));
     ok = false;
   }
   if (!ok && report.failure != fuzz::FailureKind::kNone) {
@@ -206,7 +197,7 @@ void print_coverage_table(const fuzz::SoakResult& result) {
   std::printf("  coverage by scheduler:");
   for (std::size_t i = 0; i < fuzz::kSchedulerKindCount; ++i) {
     std::printf(" %s=%zu",
-                fuzz::scheduler_name(static_cast<fuzz::SchedulerKind>(i)),
+                util::enum_name(fuzz::kSchedulerNames, i),
                 cov.per_scheduler[i]);
   }
   std::printf("\n");
@@ -342,162 +333,148 @@ int run_soak_cli(const CliOptions& cli) {
   return 0;
 }
 
+// The command line is one table: a row per flag, in usage order. Kinds:
+// count (decimal integer), ratio (real in [0, 1]), seconds (real >= 0),
+// hex (decimal or 0x-prefixed integer), path (any text: a file, or the
+// --replay spec) and switch (no value; sets its bool). Every value parses
+// strictly and in full: std::strtoull's silent garbage-to-0 once let
+// "--count abc" soak zero scenarios and exit green.
+enum class Kind : std::uint8_t {
+  kCount, kRatio, kSeconds, kHex, kPath, kSwitch };
+using enum Kind;
+
+/// Which run a flag belongs to; a flag the chosen run would ignore is a
+/// usage error, never a silent no-op.
+enum Mode : std::uint8_t { kSoak = 1, kReplay = 2, kBoth = kSoak | kReplay };
+
+struct Flag {
+  const char* name;
+  Kind kind;
+  const char* metavar;  ///< usage placeholder for the value
+  std::variant<std::uint64_t*, std::optional<std::uint64_t>*, double*,
+               std::string*, bool*>
+      target;
+  bool nonzero;  ///< 0 is a usage error: a count or budget of nothing
+  Mode mode;
+};
+
+// Count rows write SoakOptions' size_t fields through uint64_t pointers.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>);
+
+std::vector<Flag> flag_table(CliOptions& cli) {
+  fuzz::SoakOptions& o = cli.soak;
+  return {
+      {"--count", kCount, "N", &o.count, true, kSoak},
+      {"--seed-base", kCount, "S", &o.seed_base, false, kSoak},
+      {"--jobs", kCount, "J", &o.jobs, true, kSoak},  // 0 is not "auto"
+      {"--differential-every", kCount, "K", &o.differential_every, false,
+       kSoak},
+      {"--mutate", kRatio, "RATIO", &o.mutate_ratio, false, kSoak},
+      {"--fault-rate", kRatio, "RATIO", &o.fault_rate, false, kSoak},
+      {"--dup-rate", kRatio, "RATIO", &o.dup_rate, false, kSoak},
+      {"--large-every", kCount, "K", &o.large_every, false, kSoak},
+      {"--large-n", kCount, "N", &o.large_n, true, kSoak},
+      {"--log-every", kCount, "K", &o.log_every, false, kSoak},
+      {"--differential-max-n", kCount, "N", &o.differential_max_n, false,
+       kSoak},
+      {"--max-seconds", kSeconds, "S", &o.max_seconds, true, kSoak},
+      {"--corpus-out", kPath, "FILE", &cli.corpus_out, false, kSoak},
+      {"--corpus-in", kPath, "FILE", &cli.corpus_in, false, kSoak},
+      {"--corpus-strict", kSwitch, "", &cli.corpus_strict, false, kSoak},
+      {"--no-shrink", kSwitch, "", &cli.no_shrink, false, kSoak},
+      {"--max-shrink-attempts", kCount, "A", &o.max_shrink_attempts, false,
+       kSoak},
+      {"--progress-every", kCount, "P", &cli.progress_every, false, kSoak},
+      {"--replay", kPath, "SPEC", &cli.replay, false, kReplay},
+      {"--expect-digest", kHex, "HEX", &cli.expect_digest, false, kReplay},
+      {"--sig-version", kSwitch, "", &cli.sig_version, false, kBoth},
+  };
+}
+
+int usage(const char* argv0, const std::vector<Flag>& flags) {
+  int column = std::fprintf(stderr, "usage: %s", argv0);
+  for (const Flag& f : flags) {
+    const std::string item = std::string(" [") + f.name +
+                             (f.kind == kSwitch ? "" : " ") + f.metavar + "]";
+    if (column + static_cast<int>(item.size()) > 78) {
+      column = std::fprintf(stderr, "\n         ") - 1;
+    }
+    column += std::fprintf(stderr, "%s", item.c_str());
+  }
+  std::fprintf(stderr, "\n");
+  return 2;
+}
+
+/// Parses `value` (nullptr when missing) into the flag's target; false
+/// when it is not a valid value of the flag's kind.
+bool set_flag(const Flag& f, const char* value) {
+  if (f.kind == kSwitch) return *std::get<bool*>(f.target) = true;
+  if (value == nullptr) return false;
+  if (f.kind == kPath) {
+    *std::get<std::string*>(f.target) = value;
+    return *value != '\0';
+  }
+  if (f.kind == kHex) {
+    auto& target = *std::get<std::optional<std::uint64_t>*>(f.target);
+    target = util::parse_u64_any(value);
+    return target.has_value();
+  }
+  if (f.kind == kCount) {
+    const auto v = util::parse_u64(value);
+    if (!v || (f.nonzero && *v == 0)) return false;
+    *std::get<std::uint64_t*>(f.target) = *v;
+    return true;
+  }
+  const auto v = util::parse_double(value);
+  if (!v || *v < 0.0 || (f.kind == kRatio && *v > 1.0) ||
+      (f.nonzero && *v == 0.0)) {
+    return false;
+  }
+  *std::get<double*>(f.target) = *v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  bool parse_error = false;
-  const auto fail_flag = [&](const std::string& flag, const char* value) {
-    std::fprintf(stderr, "error: invalid value for %s: '%s'\n", flag.c_str(),
-                 value == nullptr ? "(missing)" : value);
-    parse_error = true;
+  const std::vector<Flag> flags = flag_table(cli);
+  std::vector<bool> given(flags.size(), false);
+  const auto fail = [&](std::string_view flag, const std::string& problem) {
+    std::fprintf(stderr, "error: %.*s: %s\n", static_cast<int>(flag.size()),
+                 flag.data(), problem.c_str());
+    return usage(argv[0], flags);
   };
-  for (int i = 1; i < argc && !parse_error; ++i) {
-    const auto arg = std::string(argv[i]);
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    // Strict numeric parsing: a flag whose value does not parse IN FULL
-    // (or is missing) is a usage error — std::strtoull's silent
-    // garbage-to-0 once let "--count abc" soak zero scenarios and exit
-    // green.
-    const auto take_u64 = [&](std::uint64_t& out) {
-      const char* v = next();
-      const auto parsed =
-          v ? util::parse_u64(v) : std::optional<std::uint64_t>{};
-      if (!parsed) {
-        fail_flag(arg, v);
-        return;
-      }
-      out = *parsed;
-    };
-    const auto take_size = [&](std::size_t& out) {
-      std::uint64_t v = 0;
-      take_u64(v);
-      if (!parse_error) out = static_cast<std::size_t>(v);
-    };
-    if (arg == "--count") {
-      take_size(cli.soak.count);
-      // A zero-scenario soak is always a command-line mistake (and used to
-      // underflow the "seeds S..S+count-1" summary line): exit 2, same as
-      // the strict-parse contract for garbage values.
-      if (!parse_error && cli.soak.count == 0) fail_flag(arg, "0");
-    } else if (arg == "--seed-base") {
-      take_u64(cli.soak.seed_base);
-    } else if (arg == "--jobs") {
-      // Worker threads for the sharded soak. 0 is rejected rather than
-      // treated as "auto": an unparsed garbage value must never silently
-      // change the parallelism (and with it the mutant streams).
-      take_size(cli.soak.jobs);
-      if (!parse_error && cli.soak.jobs == 0) fail_flag(arg, "0");
-    } else if (arg == "--differential-every") {
-      take_size(cli.soak.differential_every);
-    } else if (arg == "--differential-max-n") {
-      // Size cap for reference replays (0 = unlimited): scenarios larger
-      // than this still run and are property-checked on the calendar
-      // engine; only the O(n^2)-per-delivery reference A/B is skipped.
-      take_size(cli.soak.differential_max_n);
-    } else if (arg == "--large-every") {
-      // 0 (the default) disables large-topology promotion entirely.
-      take_size(cli.soak.large_every);
-    } else if (arg == "--large-n") {
-      take_size(cli.soak.large_n);
-      if (!parse_error && cli.soak.large_n == 0) fail_flag(arg, "0");
-    } else if (arg == "--log-every") {
-      // 0 (the default) disables log-service promotion entirely; the
-      // family can still enter via mutation or a pre-seeded corpus.
-      take_size(cli.soak.log_every);
-    } else if (arg == "--max-seconds") {
-      // Wall-clock budget. Strict like every rate flag, and 0 is rejected:
-      // a zero-second budget would skip the whole soak and exit green,
-      // which is only ever a typo (omit the flag for an unbounded soak).
-      const char* v = next();
-      const auto parsed = v ? util::parse_double(v) : std::optional<double>{};
-      if (!parsed || *parsed <= 0.0) {
-        fail_flag(arg, v);
-      } else {
-        cli.soak.max_seconds = *parsed;
-      }
-    } else if (arg == "--no-shrink") {
-      cli.soak.shrink_failures = false;
-    } else if (arg == "--no-protocol-stats") {
-      // A/B toggle: reproduces the engine-only signature space (and proves
-      // collection never perturbs a run — the corpus digest is identical
-      // either way).
-      cli.soak.collect_protocol_stats = false;
-    } else if (arg == "--sig-version") {
-      // Machine-readable signature-space version: the nightly lane keys
-      // its persisted-corpus cache on this, so a signature-space bump
-      // starts a fresh frontier.
-      std::printf("%u\n", fuzz::kSignatureSpaceVersion);
-      return 0;
-    } else if (arg == "--max-shrink-attempts") {
-      take_size(cli.soak.max_shrink_attempts);
-    } else if (arg == "--progress-every") {
-      take_size(cli.progress_every);
-    } else if (arg == "--mutate") {
-      const char* v = next();
-      const auto parsed = v ? util::parse_double(v) : std::optional<double>{};
-      if (!parsed || *parsed < 0.0 || *parsed > 1.0) {
-        fail_flag(arg, v);
-      } else {
-        cli.soak.mutate_ratio = *parsed;
-      }
-    } else if (arg == "--fault-rate" || arg == "--dup-rate") {
-      // Link-fault floors share --mutate's strict contract: a ratio in
-      // [0, 1], parsed in full, or exit 2 (a typo'd rate must never soak a
-      // silently-reliable network and exit green).
-      const char* v = next();
-      const auto parsed = v ? util::parse_double(v) : std::optional<double>{};
-      if (!parsed || *parsed < 0.0 || *parsed > 1.0) {
-        fail_flag(arg, v);
-      } else if (arg == "--fault-rate") {
-        cli.soak.fault_rate = *parsed;
-      } else {
-        cli.soak.dup_rate = *parsed;
-      }
-    } else if (arg == "--corpus-out") {
-      const char* v = next();
-      if (!v) {
-        fail_flag(arg, v);
-      } else {
-        cli.corpus_out = v;
-      }
-    } else if (arg == "--corpus-in") {
-      const char* v = next();
-      if (!v) {
-        fail_flag(arg, v);
-      } else {
-        cli.corpus_in = v;
-      }
-    } else if (arg == "--corpus-strict") {
-      // All-or-nothing --corpus-in parsing (the pre-tolerance behavior):
-      // any malformed line fails the load. For hand-maintained corpora
-      // where a bad line means the file itself is wrong.
-      cli.corpus_strict = true;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (!v) {
-        fail_flag(arg, v);
-      } else {
-        cli.replay = v;
-      }
-    } else if (arg == "--expect-digest") {
-      const char* v = next();
-      const auto parsed =
-          v ? util::parse_u64_any(v) : std::optional<std::uint64_t>{};
-      if (!parsed) {
-        fail_flag(arg, v);
-      } else {
-        cli.expect_digest = *parsed;
-        cli.has_expect_digest = true;
-      }
-    } else {
-      std::fprintf(stderr, "error: unknown flag: %s\n", arg.c_str());
-      parse_error = true;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const auto f = std::find_if(flags.begin(), flags.end(),
+                                [arg](const Flag& x) { return arg == x.name; });
+    if (f == flags.end()) return fail(arg, "unknown flag");
+    const auto row = static_cast<std::size_t>(f - flags.begin());
+    if (given[row]) return fail(arg, "given twice");
+    given[row] = true;
+    const char* value =
+        f->kind == kSwitch || i + 1 >= argc ? nullptr : argv[++i];
+    if (!set_flag(*f, value)) {
+      return fail(arg, value ? "invalid value '" + std::string(value) + "'"
+                             : "missing value");
     }
   }
-  if (parse_error) return usage(argv[0]);
-  if (!cli.replay.empty()) return run_replay(cli);
-  return run_soak_cli(cli);
+  // --sig-version feeds the nightly corpus-cache key: print and exit.
+  if (cli.sig_version) {
+    std::printf("%u\n", fuzz::kSignatureSpaceVersion);
+    return 0;
+  }
+  const Mode run = cli.replay.empty() ? kSoak : kReplay;
+  for (std::size_t row = 0; row < flags.size(); ++row) {
+    if (given[row] && (flags[row].mode & run) == 0) {
+      return fail(flags[row].name,
+                  run == kSoak ? "needs --replay" : "not valid with --replay");
+    }
+  }
+  if (cli.corpus_strict && cli.corpus_in.empty()) {
+    return fail("--corpus-strict", "needs --corpus-in");
+  }
+  cli.soak.shrink_failures = !cli.no_shrink;
+  return run == kReplay ? run_replay(cli) : run_soak_cli(cli);
 }

@@ -13,32 +13,18 @@
 #include "log/replicated_log.hpp"
 #include "log/workload.hpp"
 #include "mac/reference_engine.hpp"
+#include "util/parse.hpp"
 #include "verify/invariants.hpp"
 
 namespace amac::fuzz {
 
 namespace {
 
-/// Raw observations from one engine execution; fingerprint covers every
-/// field plus per-node decisions, so two observations are behaviorally
+/// Runs and judges `s` on one engine. The fingerprint covers the verdict,
+/// stats, end state and per-node decisions, so two runs are behaviorally
 /// identical iff their fingerprints match (up to hash collision).
-struct Observation {
-  verify::ConsensusVerdict verdict;
-  mac::EngineStats stats;
-  mac::ProtocolStats protocol;
-  mac::Time end_time = 0;
-  bool condition_met = false;
-  std::uint64_t trace_digest = 0;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t monitor_checks = 0;
-  bool monitor_violated = false;
-  std::string monitor_report;
-  std::size_t mid_flight_crashes = 0;
-};
-
 template <typename Net>
-Observation run_on_engine(const Scenario& s, bool with_monitor,
-                          bool collect_protocol = false) {
+RunReport run_on_engine(const Scenario& s) {
   BuiltScenario b = build_scenario(s);
   const std::size_t count = b.graph.node_count();
   Net net(b.graph, b.factory, *b.scheduler);
@@ -51,7 +37,6 @@ Observation run_on_engine(const Scenario& s, bool with_monitor,
   // construction, so the held deliveries must take the overflow-heap path.
   if (s.late_holds) apply_holds(s, b);
 
-  Observation obs;
   // The Lemma 4.2 monitor reads calendar-engine internals; differential
   // replays on the reference engine skip it (it observes, never steers, so
   // its absence cannot change the reference run).
@@ -61,71 +46,48 @@ Observation run_on_engine(const Scenario& s, bool with_monitor,
     // eventually arrives exactly once); a non-empty fault plan deliberately
     // breaks that, so the monitor stands down rather than reporting
     // injected loss as a conservation bug.
-    if (with_monitor && s.algorithm == harness::Algorithm::kWPaxos &&
-        b.faults.empty()) {
+    if (s.algorithm == harness::Algorithm::kWPaxos && b.faults.empty()) {
       monitor.emplace(b.ids);
+      net.set_post_event_hook([&monitor](Net& n) { monitor->check(n); });
     }
-  }
-  std::vector<bool> seen_crashed(count, false);
-  const bool watch_crashes = !b.crashes.empty();
-  if (monitor.has_value() || watch_crashes) {
-    net.set_post_event_hook([&](Net& n) {
-      if (watch_crashes) {
-        for (NodeId u = 0; u < count; ++u) {
-          if (!seen_crashed[u] && n.crashed(u)) {
-            seen_crashed[u] = true;
-            // A crash with copies still pending exercises the non-atomic
-            // broadcast cancellation path (some neighbors receive, some
-            // never do).
-            if (n.in_flight_from(u) > 0) ++obs.mid_flight_crashes;
-          }
-        }
-      }
-      if constexpr (std::is_same_v<Net, mac::Network>) {
-        if (monitor.has_value()) monitor->check(n);
-      }
-    });
   }
 
   const auto result = net.run(mac::StopWhen::kAllDecided, s.horizon);
-  obs.verdict = verify::check_consensus(net, b.inputs);
-  obs.stats = net.stats();
+  RunReport r;
+  r.verdict = verify::check_consensus(net, b.inputs);
+  r.stats = net.stats();
+  r.mid_flight_crashes = r.stats.mid_flight_crashes;
   // Protocol stats are a post-run const read of process observables, so
-  // collecting them cannot perturb the run (the determinism regression
-  // pins digests equal with collection on and off). Reference-engine
-  // replays skip it: the protocol dimension never enters fingerprints.
+  // collecting them cannot perturb the run (the smoke suite pins the
+  // calendar fingerprint equal to the reference replay's, which never
+  // collects). The protocol dimension never enters fingerprints.
   if constexpr (std::is_same_v<Net, mac::Network>) {
-    if (collect_protocol) obs.protocol = harness::collect_protocol_stats(net);
+    r.protocol = harness::collect_protocol_stats(net);
   }
-  obs.end_time = result.end_time;
-  obs.condition_met = result.condition_met;
-  obs.trace_digest = net.trace_digest();
-  if (monitor.has_value()) {
-    obs.monitor_checks = monitor->checks_performed();
-    obs.monitor_violated = monitor->violated();
-    obs.monitor_report = monitor->report();
-  }
+  r.end_time = result.end_time;
+  r.condition_met = result.condition_met;
+  r.trace_digest = net.trace_digest();
 
   util::Hasher h;
-  h.mix_u64(obs.trace_digest);
-  obs.verdict.digest(h);
-  h.mix_u64(obs.stats.broadcasts);
-  h.mix_u64(obs.stats.dropped_busy);
-  h.mix_u64(obs.stats.deliveries);
-  h.mix_u64(obs.stats.acks);
-  h.mix_u64(obs.stats.payload_bytes);
-  h.mix_u64(obs.stats.max_payload_bytes);
-  h.mix_u64(obs.stats.peak_events);
+  h.mix_u64(r.trace_digest);
+  r.verdict.digest(h);
+  h.mix_u64(r.stats.broadcasts);
+  h.mix_u64(r.stats.dropped_busy);
+  h.mix_u64(r.stats.deliveries);
+  h.mix_u64(r.stats.acks);
+  h.mix_u64(r.stats.payload_bytes);
+  h.mix_u64(r.stats.max_payload_bytes);
+  h.mix_u64(r.stats.peak_events);
   // Fault counters join the fingerprint only when the plan inflicted any:
   // fault-free runs keep the exact pre-fault fingerprint (the pinned
   // 504-corpus digest depends on this), while faulted differential pairs
   // must agree on the injected loss too.
-  if (obs.stats.drops != 0 || obs.stats.duplicates != 0) {
-    h.mix_u64(obs.stats.drops);
-    h.mix_u64(obs.stats.duplicates);
+  if (r.stats.drops != 0 || r.stats.duplicates != 0) {
+    h.mix_u64(r.stats.drops);
+    h.mix_u64(r.stats.duplicates);
   }
-  h.mix_u64(obs.end_time);
-  h.mix_bool(obs.condition_met);
+  h.mix_u64(r.end_time);
+  h.mix_bool(r.condition_met);
   for (NodeId u = 0; u < count; ++u) {
     const auto& d = net.decision(u);
     h.mix_bool(d.decided);
@@ -133,8 +95,26 @@ Observation run_on_engine(const Scenario& s, bool with_monitor,
     h.mix_u64(d.time);
     h.mix_bool(net.crashed(u));
   }
-  obs.fingerprint = h.digest();
-  return obs;
+  r.fingerprint = h.digest();
+
+  if (monitor.has_value()) r.monitor_checks = monitor->checks_performed();
+  if (!r.verdict.agreement) {
+    r.failure = FailureKind::kAgreement;
+    r.detail = "agreement violated: " + r.verdict.summary();
+  } else if (!r.verdict.validity) {
+    r.failure = FailureKind::kValidity;
+    r.detail = "validity violated: " + r.verdict.summary();
+  } else if (monitor.has_value() && monitor->violated()) {
+    r.failure = FailureKind::kInvariant;
+    r.detail = monitor->report();
+  } else if (termination_expected(s) && !r.condition_met) {
+    r.failure = FailureKind::kTermination;
+    std::ostringstream os;
+    os << "termination expected but run stopped at t=" << r.end_time
+       << " (horizon " << s.horizon << "): " << r.verdict.summary();
+    r.detail = os.str();
+  }
+  return r;
 }
 
 /// Runs a log-service scenario (s.log_ops > 0): a log::ReplicatedLog over
@@ -233,16 +213,10 @@ RunReport run_log_scenario(const Scenario& s) {
 }  // namespace
 
 const char* failure_name(FailureKind k) {
-  switch (k) {
-    case FailureKind::kNone: return "none";
-    case FailureKind::kAgreement: return "agreement";
-    case FailureKind::kValidity: return "validity";
-    case FailureKind::kTermination: return "termination";
-    case FailureKind::kInvariant: return "invariant";
-    case FailureKind::kDifferential: return "differential";
-  }
-  AMAC_ASSERT(false);
-  return "?";
+  static constexpr std::array<const char*, 6> kNames = {
+      "none", "agreement", "validity", "termination", "invariant",
+      "differential"};
+  return util::enum_name(kNames, k);
 }
 
 RunReport run_scenario(const Scenario& s, const RunOptions& options) {
@@ -252,47 +226,16 @@ RunReport run_scenario(const Scenario& s, const RunOptions& options) {
   // must not request it — run_soak_shard skips and counts those).
   if (s.log_ops > 0) return run_log_scenario(s);
 
-  const Observation obs = run_on_engine<mac::Network>(
-      s, options.with_monitor, options.collect_protocol_stats);
-
-  RunReport r;
-  r.verdict = obs.verdict;
-  r.stats = obs.stats;
-  r.protocol = obs.protocol;
-  r.end_time = obs.end_time;
-  r.condition_met = obs.condition_met;
-  r.trace_digest = obs.trace_digest;
-  r.fingerprint = obs.fingerprint;
-  r.monitor_checks = obs.monitor_checks;
-  r.mid_flight_crashes = obs.mid_flight_crashes;
-
-  if (!obs.verdict.agreement) {
-    r.failure = FailureKind::kAgreement;
-    r.detail = "agreement violated: " + obs.verdict.summary();
-  } else if (!obs.verdict.validity) {
-    r.failure = FailureKind::kValidity;
-    r.detail = "validity violated: " + obs.verdict.summary();
-  } else if (obs.monitor_violated) {
-    r.failure = FailureKind::kInvariant;
-    r.detail = obs.monitor_report;
-  } else if (termination_expected(s) && !obs.condition_met) {
-    r.failure = FailureKind::kTermination;
-    std::ostringstream os;
-    os << "termination expected but run stopped at t=" << obs.end_time
-       << " (horizon " << s.horizon << "): " << obs.verdict.summary();
-    r.detail = os.str();
-  }
-
+  RunReport r = run_on_engine<mac::Network>(s);
   if (options.differential && r.failure == FailureKind::kNone) {
-    const Observation ref =
-        run_on_engine<mac::ReferenceNetwork>(s, /*with_monitor=*/false);
+    const RunReport ref = run_on_engine<mac::ReferenceNetwork>(s);
     r.differential_ran = true;
     r.reference_fingerprint = ref.fingerprint;
-    if (ref.fingerprint != obs.fingerprint) {
+    if (ref.fingerprint != r.fingerprint) {
       r.failure = FailureKind::kDifferential;
       std::ostringstream os;
       os << "engine divergence: calendar fingerprint " << std::hex
-         << obs.fingerprint << " (trace " << obs.trace_digest
+         << r.fingerprint << " (trace " << r.trace_digest
          << ") vs reference " << ref.fingerprint << " (trace "
          << ref.trace_digest << ")";
       r.detail = os.str();
@@ -452,74 +395,47 @@ namespace {
 
 [[nodiscard]] std::vector<Scenario> shrink_candidates(const Scenario& s) {
   std::vector<Scenario> out;
-  const auto add = [&](Scenario cand) {
+  /// Queues a copy of `s` with `edit` applied, unless normalizing undoes it.
+  const auto add = [&](const auto& edit) {
+    Scenario cand = s;
+    edit(cand);
     normalize_scenario(cand);
     if (format_spec(cand) != format_spec(s)) out.push_back(std::move(cand));
   };
+  /// One candidate per entry of a list member, with that entry removed.
+  const auto drop_each = [&](auto list) {
+    for (std::size_t i = 0; i < (s.*list).size(); ++i) {
+      add([&](Scenario& c) {
+        (c.*list).erase((c.*list).begin() + static_cast<std::ptrdiff_t>(i));
+      });
+    }
+  };
   // Biggest reductions first: the greedy loop restarts after every
   // acceptance, so early wins compound.
-  if (s.n >= 4) {
-    Scenario cand = s;
-    cand.n = s.n / 2;
-    add(std::move(cand));
-  }
-  if (s.n >= 3) {
-    Scenario cand = s;
-    cand.n = s.n - 1;
-    add(std::move(cand));
-  }
-  for (std::size_t i = 0; i < s.crashes.size(); ++i) {
-    Scenario cand = s;
-    cand.crashes.erase(cand.crashes.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-    add(std::move(cand));
-  }
-  for (std::size_t i = 0; i < s.holds.size(); ++i) {
-    Scenario cand = s;
-    cand.holds.erase(cand.holds.begin() + static_cast<std::ptrdiff_t>(i));
-    add(std::move(cand));
-  }
-  for (std::size_t i = 0; i < s.script.size(); ++i) {
-    Scenario cand = s;
-    cand.script.erase(cand.script.begin() + static_cast<std::ptrdiff_t>(i));
-    add(std::move(cand));
-  }
+  if (s.n >= 4) add([&](Scenario& c) { c.n = s.n / 2; });
+  if (s.n >= 3) add([&](Scenario& c) { c.n = s.n - 1; });
+  drop_each(&Scenario::crashes);
+  drop_each(&Scenario::holds);
+  drop_each(&Scenario::script);
   // Fault-plan reduction toward the empty plan: drop each window, zero
   // each rate, and collapse per-receiver script slots back to uniform.
-  for (std::size_t i = 0; i < s.faults.size(); ++i) {
-    Scenario cand = s;
-    cand.faults.erase(cand.faults.begin() + static_cast<std::ptrdiff_t>(i));
-    add(std::move(cand));
-  }
-  if (s.drop_rate_bp != 0) {
-    Scenario cand = s;
-    cand.drop_rate_bp = 0;
-    add(std::move(cand));
-  }
-  if (s.dup_rate_bp != 0) {
-    Scenario cand = s;
-    cand.dup_rate_bp = 0;
-    add(std::move(cand));
+  drop_each(&Scenario::faults);
+  for (const auto rate : kFaultRates) {
+    if (s.*rate != 0) add([&](Scenario& c) { c.*rate = 0; });
   }
   for (std::size_t i = 0; i < s.script.size(); ++i) {
     if (s.script[i].delays.empty()) continue;
-    Scenario cand = s;
-    cand.script[i].delays.clear();  // back to the uniform `recv` slot
-    add(std::move(cand));
+    add([&](Scenario& c) { c.script[i].delays.clear(); });  // uniform `recv`
     for (std::size_t j = 0; j < s.script[i].delays.size(); ++j) {
-      cand = s;
-      cand.script[i].delays.erase(cand.script[i].delays.begin() +
-                                  static_cast<std::ptrdiff_t>(j));
-      add(std::move(cand));
+      add([&](Scenario& c) {
+        auto& delays = c.script[i].delays;
+        delays.erase(delays.begin() + static_cast<std::ptrdiff_t>(j));
+      });
     }
   }
   if (s.fack > 1) {
-    Scenario cand = s;
-    cand.fack = s.fack / 2;
-    add(std::move(cand));
-    cand = s;
-    cand.fack = s.fack - 1;
-    add(std::move(cand));
+    add([&](Scenario& c) { c.fack = s.fack / 2; });
+    add([&](Scenario& c) { c.fack = s.fack - 1; });
   }
   // Log-service knobs. Leaving the family entirely (log_ops = 0) is the
   // biggest reduction when the failure isn't service-specific; the halving
@@ -527,28 +443,9 @@ namespace {
   // envelope's — a minimal repro may be smaller than anything the soak
   // would generate.
   if (s.log_ops > 0) {
-    Scenario cand = s;
-    cand.log_ops = 0;
-    add(std::move(cand));
-    if (s.log_ops > 1) {
-      cand = s;
-      cand.log_ops = s.log_ops / 2;
-      add(std::move(cand));
-    }
-    if (s.log_batch > 1) {
-      cand = s;
-      cand.log_batch = s.log_batch / 2;
-      add(std::move(cand));
-    }
-    if (s.log_window > 1) {
-      cand = s;
-      cand.log_window = s.log_window / 2;
-      add(std::move(cand));
-    }
-    if (s.log_lease > 1) {
-      cand = s;
-      cand.log_lease = s.log_lease / 2;
-      add(std::move(cand));
+    add([](Scenario& c) { c.log_ops = 0; });
+    for (const auto knob : kLogKnobs) {
+      if (s.*knob > 1) add([&](Scenario& c) { c.*knob = s.*knob / 2; });
     }
   }
   return out;
@@ -587,8 +484,7 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
   /// successful probe. For monotone failures the committed value is the
   /// exact threshold: one less provably does not reproduce.
   const auto minimize_value =
-      [&](mac::Time floor, mac::Time current,
-          const std::function<void(Scenario&, mac::Time)>& set) -> bool {
+      [&](mac::Time floor, mac::Time current, const auto& set) -> bool {
     bool reduced = false;
     mac::Time lo = floor;
     mac::Time hi = current;
@@ -636,16 +532,15 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
     // Value edits never change entry counts, so indexing by position is
     // stable across the pass; a successful pass loops back to phase 1
     // (a smaller release can unlock further structural drops).
-    for (std::size_t i = 0; i < res.scenario.holds.size(); ++i) {
-      progress |= minimize_value(
-          0, res.scenario.holds[i].release,
-          [i](Scenario& c, mac::Time v) { c.holds[i].release = v; });
-    }
-    for (std::size_t i = 0; i < res.scenario.crashes.size(); ++i) {
-      progress |= minimize_value(
-          0, res.scenario.crashes[i].when,
-          [i](Scenario& c, mac::Time v) { c.crashes[i].when = v; });
-    }
+    const auto minimize_entries = [&](auto list, auto value) {
+      for (std::size_t i = 0; i < (res.scenario.*list).size(); ++i) {
+        progress |= minimize_value(
+            0, (res.scenario.*list)[i].*value,
+            [=](Scenario& c, mac::Time v) { (c.*list)[i].*value = v; });
+      }
+    };
+    minimize_entries(&Scenario::holds, &HoldSpec::release);
+    minimize_entries(&Scenario::crashes, &CrashSpec::when);
     // Scripted slots: receive delay toward 1, then ack toward the (possibly
     // just-shrunk) receive delay — normalize keeps recv <= ack throughout.
     for (std::size_t i = 0; i < res.scenario.script.size(); ++i) {
@@ -669,16 +564,12 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
     // Fault plans: rates binary-search toward 0 (the fault-free envelope),
     // finite drop windows narrow toward a single tick. kForever windows
     // carry no searchable value; phase 1's removal candidates cover them.
-    progress |= minimize_value(0, res.scenario.drop_rate_bp,
-                               [](Scenario& c, mac::Time v) {
-                                 c.drop_rate_bp =
-                                     static_cast<std::uint32_t>(v);
-                               });
-    progress |= minimize_value(0, res.scenario.dup_rate_bp,
-                               [](Scenario& c, mac::Time v) {
-                                 c.dup_rate_bp =
-                                     static_cast<std::uint32_t>(v);
-                               });
+    for (const auto rate : kFaultRates) {
+      progress |= minimize_value(0, res.scenario.*rate,
+                                 [rate](Scenario& c, mac::Time v) {
+                                   c.*rate = static_cast<std::uint32_t>(v);
+                                 });
+    }
     for (std::size_t i = 0; i < res.scenario.faults.size(); ++i) {
       const mac::Time from = res.scenario.faults[i].from_tick;
       const mac::Time until = res.scenario.faults[i].until_tick;
@@ -747,17 +638,11 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
   out.first_index = shard.first_index;
   out.fingerprints.reserve(shard.count);
   SoakResult& result = out.local;
-  util::Hasher corpus_hash;
   CoverageCorpus corpus(options.corpus_max);
   // Pre-seeded bases carry no observed signature yet (sig_key 0, hits 0):
   // rarity weighting treats them as maximally rare, so a resumed nightly
   // frontier is mutated first (every shard resumes from the full frontier).
   for (const Scenario& s : options.initial_corpus) corpus.admit(s);
-  // Distinct projections of every observed signature: the engine-only
-  // (PR-4) space and the protocol-only space, reported separately so CI
-  // can assert the protocol dimension strictly refines engine coverage.
-  std::set<std::uint64_t>& engine_seen = out.engine_keys;
-  std::set<std::uint64_t>& protocol_seen = out.protocol_keys;
   // The mutation stream is salted off the shard's FIRST SEED, so mutant
   // interleaving is shard-local and a mutating soak is exactly
   // reproducible for a fixed (seed-base, count, jobs) triple. A
@@ -855,7 +740,6 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
     if (diff_due && (diff_too_large || diff_log)) {
       ++result.differential_skipped;
     }
-    run_options.collect_protocol_stats = options.collect_protocol_stats;
     const RunReport report = run_scenario(s, run_options);
 
     ++result.runs;
@@ -876,19 +760,12 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
     // Family membership, not promotion: mutants that entered via the
     // kLogService op and pre-seeded log corpus entries count too.
     if (s.log_ops > 0) ++result.log_scenarios;
-    corpus_hash.mix_u64(report.fingerprint);
     out.fingerprints.push_back(report.fingerprint);
 
     const CoverageSignature sig = coverage_signature(s, report);
-    if (engine_seen.insert(sig.engine_key()).second) {
-      ++result.coverage.engine_distinct;
-    }
-    if (protocol_seen.insert(sig.protocol_key()).second) {
-      ++result.coverage.protocol_distinct;
-    }
+    out.engine_keys.insert(sig.engine_key());
+    out.protocol_keys.insert(sig.protocol_key());
     if (corpus.observe(sig)) {
-      ++result.novel_runs;
-      note_signature(result.coverage, sig);
       out.signatures.emplace(sig.key(), sig);
       // Only clean runs become mutation bases: mutating a known violation
       // would just keep re-finding it.
@@ -913,10 +790,24 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
     if (options.on_scenario) options.on_scenario(i, s, report);
   }
   result.corpus = corpus.entries();
-  result.corpus_digest = corpus_hash.digest();
-  out.sig_hits = corpus.hit_counts();
   return out;
 }
+
+namespace {
+
+/// The SoakResult tallies that merge as plain sums across shards.
+constexpr std::array kSummedCounts = {
+    &SoakResult::runs,          &SoakResult::differential_runs,
+    &SoakResult::crash_scenarios, &SoakResult::mid_flight_crash_scenarios,
+    &SoakResult::overflow_scenarios, &SoakResult::resized_scenarios,
+    &SoakResult::faulted_scenarios, &SoakResult::mutated_runs,
+    &SoakResult::large_scenarios, &SoakResult::log_scenarios,
+    &SoakResult::differential_skipped, &SoakResult::budget_skipped};
+constexpr std::array kSummedEvents = {
+    &SoakResult::wheel_events, &SoakResult::overflow_events,
+    &SoakResult::dropped_frames, &SoakResult::duplicated_frames};
+
+}  // namespace
 
 SoakResult merge_soak_shards(const SoakOptions& options,
                              std::vector<ShardSoakResult> shards) {
@@ -931,31 +822,16 @@ SoakResult merge_soak_shards(const SoakOptions& options,
   SoakResult out;
   util::Hasher digest_fold;
   std::map<std::uint64_t, CoverageSignature> signatures;
-  std::map<std::uint64_t, std::uint64_t> hits;
   std::set<std::uint64_t> engine_keys;
   std::set<std::uint64_t> protocol_keys;
   std::set<std::string> corpus_specs;  // dedupe (shards share pre-seeds)
   for (ShardSoakResult& sh : shards) {
     SoakResult& loc = sh.local;
-    out.runs += loc.runs;
-    out.differential_runs += loc.differential_runs;
+    for (const auto count : kSummedCounts) out.*count += loc.*count;
+    for (const auto events : kSummedEvents) out.*events += loc.*events;
     for (std::size_t i = 0; i < out.per_algorithm.size(); ++i) {
       out.per_algorithm[i] += loc.per_algorithm[i];
     }
-    out.crash_scenarios += loc.crash_scenarios;
-    out.mid_flight_crash_scenarios += loc.mid_flight_crash_scenarios;
-    out.wheel_events += loc.wheel_events;
-    out.overflow_events += loc.overflow_events;
-    out.overflow_scenarios += loc.overflow_scenarios;
-    out.resized_scenarios += loc.resized_scenarios;
-    out.dropped_frames += loc.dropped_frames;
-    out.duplicated_frames += loc.duplicated_frames;
-    out.faulted_scenarios += loc.faulted_scenarios;
-    out.mutated_runs += loc.mutated_runs;
-    out.large_scenarios += loc.large_scenarios;
-    out.log_scenarios += loc.log_scenarios;
-    out.differential_skipped += loc.differential_skipped;
-    out.budget_skipped += loc.budget_skipped;
     // The merged digest folds EVERY run fingerprint in seed order — the
     // same fold a sequential soak of the whole range performs, so the
     // merged digest of a mutation-free soak is bit-identical to jobs == 1.
@@ -964,7 +840,6 @@ SoakResult merge_soak_shards(const SoakOptions& options,
     // are partition-independent (a set union doesn't care which shard, or
     // how many, saw a key first).
     for (const auto& [key, sig] : sh.signatures) signatures.emplace(key, sig);
-    for (const auto& [key, n] : sh.sig_hits) hits[key] += n;
     engine_keys.insert(sh.engine_keys.begin(), sh.engine_keys.end());
     protocol_keys.insert(sh.protocol_keys.begin(), sh.protocol_keys.end());
     for (SoakFailure& f : loc.failures) out.failures.push_back(std::move(f));

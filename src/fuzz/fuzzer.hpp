@@ -130,9 +130,12 @@
 //   --corpus-out FILE   write the final corpus as spec lines (one per line)
 //   --corpus-in FILE    pre-seed the mutation corpus from such a file
 //                       (# and blank lines are skipped)
-//   --no-protocol-stats A/B switch: skip ProtocolStats collection (the
-//                       engine-only signature space; digests identical)
 //   --sig-version       print kSignatureSpaceVersion and exit
+//
+// The soak CLI's flags are one table (bench/bench_fuzz_soak.cpp), which
+// also prints the usage text. It exits 2 on a flag given twice, on a soak
+// flag given with --replay, on --expect-digest without --replay, and on
+// --corpus-strict without --corpus-in.
 //
 // The nightly lane (.github/workflows/nightly.yml) runs a long-horizon
 // mutating soak with a date-derived --seed-base and a PERSISTENT corpus:
@@ -194,13 +197,18 @@
 // Extending coverage: a new algorithm joins by extending
 // harness::Algorithm + algorithm_factory and teaching generate_scenario its
 // envelope (topology/scheduler/crash constraints) plus clamp_to_envelope
-// the same constraints; a new scheduler joins via SchedulerKind +
-// build_scenario. Everything downstream — oracle, differential replay,
-// coverage signatures, mutation, shrinking, soak lane, repro specs — is
-// inherited. A new engine-path counter becomes a coverage dimension by
-// extending CoverageSignature and coverage_signature(); a new ALGORITHM
-// observable becomes one by overriding mac::Process::protocol_stats and
-// bucketing the field here. Either way, bump kSignatureSpaceVersion.
+// the same constraints; a new scheduler joins via SchedulerKind + its name
+// in the scheduler name array + build_scenario. A new Scenario field joins
+// the spec language as ONE row of the spec field table (kSpecFields in
+// scenario.cpp), which drives both format_spec and parse_spec; a new list
+// or rate field is one more entry in the shrinker's loops (the list
+// members, kFaultRates, kLogKnobs). Everything downstream — oracle,
+// differential replay, coverage signatures, mutation, shrinking, soak
+// lane, repro specs — is inherited. A new engine-path counter becomes a
+// coverage dimension by extending CoverageSignature and
+// coverage_signature(); a new ALGORITHM observable becomes one by
+// overriding mac::Process::protocol_stats and bucketing the field here.
+// Either way, bump kSignatureSpaceVersion.
 // ---------------------------------------------------------------------------
 #pragma once
 
@@ -227,29 +235,29 @@ enum class FailureKind : std::uint8_t {
 
 [[nodiscard]] const char* failure_name(FailureKind k);
 
+/// The wPAXOS Lemma 4.2 monitor and mac::ProtocolStats collection are
+/// always on for calendar-engine runs: the monitor only observes, and the
+/// stats are a post-run const read of process observables, so neither can
+/// perturb a run (tests/test_fuzz_smoke.cpp pins the calendar fingerprint
+/// equal to the reference replay's, which does neither).
 struct RunOptions {
   bool differential = false;  ///< also replay on the reference engine
-  bool with_monitor = true;   ///< wPAXOS Lemma 4.2 monitor (wpaxos only)
-  /// Collect mac::ProtocolStats after the run (a post-run const read of
-  /// process observables — provably perturbation-free; the determinism
-  /// regression in tests/test_fuzz_smoke.cpp asserts digests are
-  /// bit-identical with this on and off).
-  bool collect_protocol_stats = true;
 };
 
 /// Everything observed from one scenario execution.
 struct RunReport {
   verify::ConsensusVerdict verdict;
   mac::EngineStats stats;
-  mac::ProtocolStats protocol;  ///< algorithm-level counters (when collected)
+  mac::ProtocolStats protocol;  ///< algorithm-level counters
   mac::Time end_time = 0;
   bool condition_met = false;
   std::uint64_t trace_digest = 0;  ///< engine event-trace digest
   std::uint64_t fingerprint = 0;   ///< trace + verdict + stats + decisions
   std::uint64_t monitor_checks = 0;
-  std::size_t mid_flight_crashes = 0;  ///< crashes that cancelled in-flight
-                                       ///< deliveries (the non-atomic
-                                       ///< broadcast edge case)
+  /// Crashes that cancelled in-flight deliveries (the non-atomic broadcast
+  /// edge case): EngineStats::mid_flight_crashes of the calendar run, and
+  /// 0 for the log-service family.
+  std::size_t mid_flight_crashes = 0;
   bool differential_ran = false;
   std::uint64_t reference_fingerprint = 0;  ///< when differential_ran
   FailureKind failure = FailureKind::kNone;
@@ -440,12 +448,6 @@ class CoverageCorpus {
   /// How often a signature key has been observed (0 if never).
   [[nodiscard]] std::uint64_t hits(std::uint64_t sig_key) const;
 
-  /// The full key -> observation-count map (shard merging sums these).
-  [[nodiscard]] const std::map<std::uint64_t, std::uint64_t>& hit_counts()
-      const {
-    return hits_;
-  }
-
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const Scenario& entry(std::size_t i) const {
     return entries_[i].scenario;
@@ -525,10 +527,6 @@ struct SoakOptions {
   double mutate_ratio = 0.0;
   /// Bound on the mutation corpus (signature-novel scenarios kept).
   std::size_t corpus_max = 256;
-  /// Collect ProtocolStats per run (see RunOptions::collect_protocol_stats;
-  /// off reproduces the engine-only signature space for A/B assertions —
-  /// digests are bit-identical either way).
-  bool collect_protocol_stats = true;
   /// Soak-wide link-fault floors (--fault-rate / --dup-rate, fractions in
   /// [0, 1]): every scenario's drop/duplicate rate is raised to at least
   /// this much, then clamped back into its algorithm's bounded-loss
@@ -693,8 +691,7 @@ struct SoakShard {
 
 /// Everything one shard observed, carrying both its local SoakResult and
 /// the raw material the canonical merge needs (per-run fingerprints in
-/// seed order, per-key signature structs and hit counts, projection key
-/// sets). Self-contained: two shards share no state, so shards may run on
+/// seed order, per-key signature structs, projection key sets). Self-contained: two shards share no state, so shards may run on
 /// concurrent threads and merge in any completion order.
 struct ShardSoakResult {
   std::size_t shard_index = 0;
@@ -705,11 +702,11 @@ struct ShardSoakResult {
   /// First-seen signature struct per distinct key (key equality implies
   /// struct equality, so first-seen is canonical).
   std::map<std::uint64_t, CoverageSignature> signatures;
-  std::map<std::uint64_t, std::uint64_t> sig_hits;  ///< key -> observations
   std::set<std::uint64_t> engine_keys;    ///< distinct engine projections
   std::set<std::uint64_t> protocol_keys;  ///< distinct protocol projections
-  /// Shard-local counters, failures, and mutation corpus (its coverage
-  /// table describes this shard alone; the merge recomputes the union).
+  /// Shard-local counters, failures, and mutation corpus. Its coverage
+  /// table, novel_runs and corpus_digest stay empty: merge_soak_shards
+  /// derives them from the fields above, even for a single shard.
   SoakResult local;
 };
 

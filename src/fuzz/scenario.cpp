@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
+#include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
-#include <sstream>
 
 #include "net/topologies.hpp"
 #include "util/hash.hpp"
@@ -99,54 +102,6 @@ constexpr std::uint64_t kLogSalt = 0x10654A17;
 }
 
 }  // namespace
-
-const char* topology_name(TopologyKind k) {
-  switch (k) {
-    case TopologyKind::kClique: return "clique";
-    case TopologyKind::kLine: return "line";
-    case TopologyKind::kRing: return "ring";
-    case TopologyKind::kStar: return "star";
-    case TopologyKind::kGrid: return "grid";
-    case TopologyKind::kTorus: return "torus";
-    case TopologyKind::kBinaryTree: return "tree";
-    case TopologyKind::kBarbell: return "barbell";
-    case TopologyKind::kRandomConnected: return "randconn";
-    case TopologyKind::kRandomGeometric: return "geo";
-  }
-  AMAC_ASSERT(false);
-  return "?";
-}
-
-const char* scheduler_name(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::kSynchronous: return "sync";
-    case SchedulerKind::kMaxDelay: return "maxdelay";
-    case SchedulerKind::kUniformRandom: return "uniform";
-    case SchedulerKind::kSkewed: return "skewed";
-    case SchedulerKind::kContention: return "contention";
-    case SchedulerKind::kHoldback: return "holdback";
-    case SchedulerKind::kScripted: return "scripted";
-  }
-  AMAC_ASSERT(false);
-  return "?";
-}
-
-const char* input_pattern_name(InputPattern p) {
-  switch (p) {
-    case InputPattern::kAllZero: return "all0";
-    case InputPattern::kAllOne: return "all1";
-    case InputPattern::kAlternating: return "alt";
-    case InputPattern::kSplit: return "split";
-    case InputPattern::kRandom: return "random";
-    case InputPattern::kMultivalued: return "multi";
-  }
-  AMAC_ASSERT(false);
-  return "?";
-}
-
-const char* id_assignment_name(IdAssignment a) {
-  return a == IdAssignment::kIdentity ? "identity" : "perm";
-}
 
 bool termination_expected(const Scenario& s) {
   // Bounded-loss envelope: rate faults drop copies permanently and a
@@ -263,38 +218,6 @@ void normalize_scenario(Scenario& s) {
 }
 
 // ---- mutation -----------------------------------------------------------
-
-const char* mutation_name(MutationOp op) {
-  switch (op) {
-    case MutationOp::kPerturbFack: return "perturb-fack";
-    case MutationOp::kPerturbHoldRelease: return "perturb-hold";
-    case MutationOp::kPerturbCrashTime: return "perturb-crash";
-    case MutationOp::kRetimeHold: return "retime-hold";
-    case MutationOp::kAddHold: return "add-hold";
-    case MutationOp::kRemoveHold: return "remove-hold";
-    case MutationOp::kAddCrash: return "add-crash";
-    case MutationOp::kRemoveCrash: return "remove-crash";
-    case MutationOp::kToggleLateHolds: return "toggle-late";
-    case MutationOp::kReseed: return "reseed";
-    case MutationOp::kSpliceTransport: return "splice";
-    case MutationOp::kScriptTimeline: return "script-timeline";
-    case MutationOp::kRetimeScriptSlot: return "retime-slot";
-    case MutationOp::kSwapScriptSlots: return "swap-slots";
-    case MutationOp::kDuplicateScriptSlot: return "dup-slot";
-    case MutationOp::kDropScriptSlot: return "drop-slot";
-    case MutationOp::kAddDropWindow: return "add-window";
-    case MutationOp::kRemoveDropWindow: return "remove-window";
-    case MutationOp::kWidenDropWindow: return "widen-window";
-    case MutationOp::kNarrowDropWindow: return "narrow-window";
-    case MutationOp::kPerturbFaultRates: return "perturb-rates";
-    case MutationOp::kScriptReceiverDelay: return "receiver-delay";
-    case MutationOp::kSpliceFaultWindows: return "splice-windows";
-    case MutationOp::kLogService: return "log-service";
-    case MutationOp::kPerturbLogKnobs: return "perturb-log";
-  }
-  AMAC_ASSERT(false);
-  return "?";
-}
 
 namespace {
 
@@ -997,341 +920,291 @@ void promote_to_log_service(Scenario& s) {
 
 // ---- spec round-trip ----------------------------------------------------
 
-std::string format_spec(const Scenario& s) {
-  std::ostringstream os;
-  os << "amacfuzz1:seed=" << s.seed
-     << ":alg=" << harness::algorithm_name(s.algorithm)
-     << ":topo=" << topology_name(s.topology) << ":n=" << s.n
-     << ":aux=" << s.aux << ":sched=" << scheduler_name(s.scheduler)
-     << ":fack=" << s.fack << ":late=" << (s.late_holds ? 1 : 0)
-     << ":in=" << input_pattern_name(s.inputs)
-     << ":ids=" << id_assignment_name(s.ids) << ":f=" << s.benor_f
-     << ":hz=" << s.horizon;
-  if (s.log_ops != 0) {
-    os << ":log=" << s.log_ops << "@" << s.log_batch << "@" << s.log_window
-       << "@" << s.log_lease;
-  }
-  if (!s.crashes.empty()) {
-    os << ":crashes=";
-    for (std::size_t i = 0; i < s.crashes.size(); ++i) {
-      if (i) os << ",";
-      os << s.crashes[i].node << "@" << s.crashes[i].when;
-    }
-  }
-  if (!s.holds.empty()) {
-    os << ":holds=";
-    for (std::size_t i = 0; i < s.holds.size(); ++i) {
-      if (i) os << ",";
-      os << s.holds[i].sender << "@" << s.holds[i].release;
-    }
-  }
-  if (!s.script.empty()) {
-    os << ":script=";
-    for (std::size_t i = 0; i < s.script.size(); ++i) {
-      if (i) os << ",";
-      const ScriptSlot& t = s.script[i];
-      os << t.sender << "@" << t.index << "@" << t.ack << "@";
-      if (t.delays.empty()) {
-        os << t.recv;  // uniform slot: bare shared delay
-      } else {
-        // Per-receiver slot: `r-d+r-d+...` (unlisted receivers delay 1).
-        for (std::size_t j = 0; j < t.delays.size(); ++j) {
-          if (j) os << "+";
-          os << t.delays[j].first << "-" << t.delays[j].second;
-        }
-      }
-    }
-  }
-  if (s.drop_rate_bp != 0) os << ":drop=" << s.drop_rate_bp;
-  if (s.dup_rate_bp != 0) os << ":dup=" << s.dup_rate_bp;
-  if (!s.faults.empty()) {
-    os << ":faults=";
-    for (std::size_t i = 0; i < s.faults.size(); ++i) {
-      if (i) os << ",";
-      const FaultSpec& w = s.faults[i];
-      os << w.from << "@" << w.to << "@" << w.from_tick << "@";
-      if (w.until_tick == mac::kForever) {
-        os << "inf";
-      } else {
-        os << w.until_tick;
-      }
-    }
-  }
-  return os.str();
-}
-
 namespace {
 
-[[nodiscard]] bool parse_u64(std::string_view v, std::uint64_t& out) {
-  const auto parsed = util::parse_u64(v);
-  if (!parsed.has_value()) return false;
-  out = *parsed;
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Appends one list entry's fields, joined by `sep`.
+void append_fields(std::string& out, std::initializer_list<std::uint64_t> v,
+                   char sep = '@') {
+  for (const std::uint64_t* f = v.begin(); f != v.end(); ++f) {
+    if (f != v.begin()) out += sep;
+    append_u64(out, *f);
+  }
+}
+
+/// Appends `items` separated by `sep`, each written by `entry`.
+template <typename T, typename Entry>
+void format_list(std::string& out, const std::vector<T>& items, Entry entry,
+                 char sep = ',') {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i) out += sep;
+    entry(out, items[i]);
+  }
+}
+
+/// Parses a decimal value into `out`, inside [lo, hi] and T's range.
+template <typename T>
+[[nodiscard]] bool parse_num(std::string_view v, T& out, std::uint64_t lo = 0,
+                             std::uint64_t hi = UINT64_MAX) {
+  const auto u = util::parse_u64(v);
+  if (!u || *u < lo || *u > hi ||
+      *u > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  out = static_cast<T>(*u);
   return true;
 }
 
-/// Parses "a@b,c@d" pair lists (crashes, holds).
-template <typename Pair>
-[[nodiscard]] bool parse_at_pairs(std::string_view v,
-                                  std::vector<Pair>& out) {
-  while (!v.empty()) {
-    const std::size_t comma = v.find(',');
-    const std::string_view item = v.substr(0, comma);
-    const std::size_t at = item.find('@');
-    if (at == std::string_view::npos) return false;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    if (!parse_u64(item.substr(0, at), a) ||
-        !parse_u64(item.substr(at + 1), b)) {
-      return false;
-    }
-    if (a > std::numeric_limits<NodeId>::max()) return false;
-    out.push_back(Pair{static_cast<NodeId>(a), b});
-    if (comma == std::string_view::npos) break;
+/// Splits one list entry into exactly N fields separated by `sep`.
+template <std::size_t N>
+[[nodiscard]] std::optional<std::array<std::string_view, N>> split_fields(
+    std::string_view item, char sep = '@') {
+  std::array<std::string_view, N> f;
+  for (std::size_t i = 0; i + 1 < N; ++i) {
+    const std::size_t at = item.find(sep);
+    if (at == std::string_view::npos) return std::nullopt;
+    f[i] = item.substr(0, at);
+    item.remove_prefix(at + 1);
+  }
+  if (item.find(sep) != std::string_view::npos) return std::nullopt;
+  f[N - 1] = item;
+  return f;
+}
+
+/// The list grammar every list field shares: entries separated by `sep`
+/// (`,` for spec fields), each split into N fields by `field_sep` and
+/// turned into an element by `make` (false on a malformed entry).
+template <std::size_t N, typename T, typename Make>
+[[nodiscard]] bool parse_list(std::string_view v, std::vector<T>& out,
+                              Make make, char sep = ',',
+                              char field_sep = '@') {
+  for (;;) {
+    const std::size_t comma = v.find(sep);
+    const auto f = split_fields<N>(v.substr(0, comma), field_sep);
+    T item{};
+    if (!f || !make(*f, item)) return false;
+    out.push_back(std::move(item));
+    if (comma == std::string_view::npos) return true;
     v.remove_prefix(comma + 1);
+  }
+}
+
+/// One row of the spec grammar. `format` appends the field's value;
+/// writing nothing omits an optional field (it is at its default), and
+/// parse_spec rejects an empty value, so the round trip stays exact.
+struct SpecField {
+  std::string_view key;
+  bool required;
+  void (*format)(std::string& out, const Scenario& s);
+  bool (*parse)(std::string_view v, Scenario& s);
+};
+
+/// An integer field inside [Lo, Hi]; an optional one is omitted at zero.
+template <auto Member, std::uint64_t Lo = 0, std::uint64_t Hi = UINT64_MAX,
+          bool kRequired = true>
+constexpr SpecField num_field(std::string_view key) {
+  return {key, kRequired,
+          [](std::string& out, const Scenario& s) {
+            if (kRequired || s.*Member != 0) append_u64(out, s.*Member);
+          },
+          [](std::string_view v, Scenario& s) {
+            return parse_num(v, s.*Member, Lo, Hi);
+          }};
+}
+
+/// An enum field spelled by its name array.
+template <auto Member, const auto& Names>
+constexpr SpecField name_field(std::string_view key) {
+  return {key, true,
+          [](std::string& out, const Scenario& s) {
+            out += util::enum_name(Names, s.*Member);
+          },
+          [](std::string_view v, Scenario& s) {
+            return util::enum_from_name(Names, v, s.*Member);
+          }};
+}
+
+/// A `a@b,c@d` list of two-field entries (crashes, holds).
+template <auto List, auto First, auto Second>
+constexpr SpecField pair_list(std::string_view key) {
+  return {key, false,
+          [](std::string& out, const Scenario& s) {
+            format_list(out, s.*List, [](std::string& o, const auto& e) {
+              append_fields(o, {e.*First, e.*Second});
+            });
+          },
+          [](std::string_view v, Scenario& s) {
+            return parse_list<2>(v, s.*List, [](const auto& f, auto& e) {
+              return parse_num(f[0], e.*First) && parse_num(f[1], e.*Second);
+            });
+          }};
+}
+
+/// `log=ops@batch@window@lease`, all four nonzero; a zero-op service is
+/// spelled by omitting the token.
+void format_log(std::string& out, const Scenario& s) {
+  if (s.log_ops == 0) return;
+  append_fields(out, {s.log_ops, s.log_batch, s.log_window, s.log_lease});
+}
+
+bool parse_log(std::string_view v, Scenario& s) {
+  const auto f = split_fields<kLogKnobs.size()>(v);
+  if (!f) return false;
+  for (std::size_t i = 0; i < kLogKnobs.size(); ++i) {
+    if (!parse_num((*f)[i], s.*kLogKnobs[i], 1, 1'000'000)) return false;
   }
   return true;
 }
 
-/// Parses "s@i@ack@recv,..." scripted-slot lists. The 4th field is either a
-/// bare shared delay (uniform slot) or a `r-d+r-d` per-receiver list, in
-/// which case `recv` mirrors the largest listed delay (as normalize keeps
-/// it).
-[[nodiscard]] bool parse_script_slots(std::string_view v,
-                                      std::vector<ScriptSlot>& out) {
-  while (!v.empty()) {
-    const std::size_t comma = v.find(',');
-    std::string_view item = v.substr(0, comma);
-    std::array<std::uint64_t, 3> fields{};
-    for (std::size_t f = 0; f < 3; ++f) {
-      const std::size_t at = item.find('@');
-      if (at == std::string_view::npos) return false;
-      if (!parse_u64(item.substr(0, at), fields[f])) return false;
-      item.remove_prefix(at + 1);
+/// `sender@index@ack@recv,...`. The 4th field is a bare shared delay
+/// (uniform slot) or a `r-d+r-d` per-receiver list, in which case `recv`
+/// mirrors the largest listed delay (as normalize keeps it).
+void format_script(std::string& out, const Scenario& s) {
+  format_list(out, s.script, [](std::string& o, const ScriptSlot& t) {
+    append_fields(o, {t.sender, t.index, t.ack});
+    o += '@';
+    if (t.delays.empty()) {
+      append_u64(o, t.recv);
+      return;
     }
-    if (item.empty() || item.find('@') != std::string_view::npos) {
+    format_list(
+        o, t.delays,
+        [](std::string& d, const auto& rd) {
+          append_fields(d, {rd.first, rd.second}, '-');
+        },
+        '+');
+  });
+}
+
+bool parse_script(std::string_view v, Scenario& s) {
+  return parse_list<4>(v, s.script, [](const auto& f, ScriptSlot& t) {
+    if (!parse_num(f[0], t.sender) || !parse_num(f[1], t.index) ||
+        !parse_num(f[2], t.ack)) {
       return false;
     }
-    if (fields[0] > std::numeric_limits<NodeId>::max()) return false;
-    if (fields[1] > std::numeric_limits<std::uint32_t>::max()) return false;
-    ScriptSlot slot;
-    slot.sender = static_cast<NodeId>(fields[0]);
-    slot.index = static_cast<std::uint32_t>(fields[1]);
-    slot.ack = fields[2];
-    if (item.find('-') == std::string_view::npos) {
-      if (!parse_u64(item, slot.recv)) return false;
+    if (f[3].find('-') == std::string_view::npos) {
+      return parse_num(f[3], t.recv);
+    }
+    const bool ok = parse_list<2>(
+        f[3], t.delays,
+        [](const auto& rd, std::pair<NodeId, mac::Time>& d) {
+          return parse_num(rd[0], d.first) && parse_num(rd[1], d.second);
+        },
+        '+', '-');
+    for (const auto& [receiver, delay] : t.delays) {
+      t.recv = std::max(t.recv, delay);
+    }
+    return ok;
+  });
+}
+
+/// `from@to@start@until,...`; `until` may be `inf` (kForever).
+void format_faults(std::string& out, const Scenario& s) {
+  format_list(out, s.faults, [](std::string& o, const FaultSpec& w) {
+    append_fields(o, {w.from, w.to, w.from_tick});
+    o += '@';
+    if (w.until_tick == mac::kForever) {
+      o += "inf";
     } else {
-      mac::Time max_delay = 1;
-      while (!item.empty()) {
-        const std::size_t plus = item.find('+');
-        const std::string_view pair = item.substr(0, plus);
-        const std::size_t dash = pair.find('-');
-        if (dash == std::string_view::npos) return false;
-        std::uint64_t r = 0;
-        std::uint64_t d = 0;
-        if (!parse_u64(pair.substr(0, dash), r) ||
-            !parse_u64(pair.substr(dash + 1), d)) {
-          return false;
-        }
-        if (r > std::numeric_limits<NodeId>::max()) return false;
-        slot.delays.emplace_back(static_cast<NodeId>(r), d);
-        max_delay = std::max(max_delay, d);
-        if (plus == std::string_view::npos) break;
-        item.remove_prefix(plus + 1);
-      }
-      slot.recv = max_delay;
+      append_u64(o, w.until_tick);
     }
-    out.push_back(std::move(slot));
-    if (comma == std::string_view::npos) break;
-    v.remove_prefix(comma + 1);
-  }
-  return true;
+  });
 }
 
-/// Parses "from@to@start@until,..." drop-window lists; `until` may be
-/// `inf` for a permanent (kForever) outage.
-[[nodiscard]] bool parse_fault_windows(std::string_view v,
-                                       std::vector<FaultSpec>& out) {
-  while (!v.empty()) {
-    const std::size_t comma = v.find(',');
-    std::string_view item = v.substr(0, comma);
-    std::array<std::uint64_t, 3> fields{};
-    for (std::size_t f = 0; f < 3; ++f) {
-      const std::size_t at = item.find('@');
-      if (at == std::string_view::npos) return false;
-      if (!parse_u64(item.substr(0, at), fields[f])) return false;
-      item.remove_prefix(at + 1);
-    }
-    if (item.find('@') != std::string_view::npos) return false;
-    mac::Time until = mac::kForever;
-    if (item != "inf" && !parse_u64(item, until)) return false;
-    if (fields[0] > std::numeric_limits<NodeId>::max() ||
-        fields[1] > std::numeric_limits<NodeId>::max()) {
-      return false;
-    }
-    out.push_back(FaultSpec{static_cast<NodeId>(fields[0]),
-                            static_cast<NodeId>(fields[1]), fields[2],
-                            until});
-    if (comma == std::string_view::npos) break;
-    v.remove_prefix(comma + 1);
-  }
-  return true;
+bool parse_faults(std::string_view v, Scenario& s) {
+  return parse_list<4>(v, s.faults, [](const auto& f, FaultSpec& w) {
+    return parse_num(f[0], w.from) && parse_num(f[1], w.to) &&
+           parse_num(f[2], w.from_tick) &&
+           (f[3] == "inf" || parse_num(f[3], w.until_tick));
+  });
 }
 
-/// Parses the `log=ops@batch@window@lease` service token: exactly four
-/// `@`-separated fields, all nonzero (a zero-op service is spelled by
-/// omitting the token entirely, which keeps the round-trip canonical).
-[[nodiscard]] bool parse_log_fields(std::string_view v, Scenario& s) {
-  std::array<std::uint64_t, 4> fields{};
-  for (std::size_t f = 0; f < 4; ++f) {
-    const std::size_t at = v.find('@');
-    if (f < 3) {
-      if (at == std::string_view::npos) return false;
-      if (!parse_u64(v.substr(0, at), fields[f])) return false;
-      v.remove_prefix(at + 1);
-    } else {
-      if (at != std::string_view::npos) return false;
-      if (!parse_u64(v, fields[f])) return false;
-    }
-    if (fields[f] == 0 || fields[f] > 1'000'000) return false;
-  }
-  s.log_ops = static_cast<std::uint32_t>(fields[0]);
-  s.log_batch = static_cast<std::uint32_t>(fields[1]);
-  s.log_window = static_cast<std::uint32_t>(fields[2]);
-  s.log_lease = static_cast<std::uint32_t>(fields[3]);
-  return true;
-}
+/// The spec grammar, in format order. Required rows always print; the
+/// optional ones print only when set.
+constexpr SpecField kSpecFields[] = {
+    num_field<&Scenario::seed>("seed"),
+    name_field<&Scenario::algorithm, harness::kAlgorithmNames>("alg"),
+    name_field<&Scenario::topology, kTopologyNames>("topo"),
+    num_field<&Scenario::n, 1, 16384>("n"),
+    num_field<&Scenario::aux, 0, 16384>("aux"),
+    name_field<&Scenario::scheduler, kSchedulerNames>("sched"),
+    num_field<&Scenario::fack, 1>("fack"),
+    num_field<&Scenario::late_holds>("late"),
+    name_field<&Scenario::inputs, kInputPatternNames>("in"),
+    name_field<&Scenario::ids, kIdAssignmentNames>("ids"),
+    num_field<&Scenario::benor_f>("f"),
+    num_field<&Scenario::horizon, 1>("hz"),
+    {"log", false, format_log, parse_log},
+    pair_list<&Scenario::crashes, &CrashSpec::node, &CrashSpec::when>(
+        "crashes"),
+    pair_list<&Scenario::holds, &HoldSpec::sender, &HoldSpec::release>(
+        "holds"),
+    {"script", false, format_script, parse_script},
+    num_field<&Scenario::drop_rate_bp, 1, mac::LinkFaultPlan::kRateScale,
+              false>("drop"),
+    num_field<&Scenario::dup_rate_bp, 1, mac::LinkFaultPlan::kRateScale,
+              false>("dup"),
+    {"faults", false, format_faults, parse_faults},
+};
+static_assert(std::size(kSpecFields) <= 32, "the seen mask is 32 bits");
 
-template <typename Enum>
-[[nodiscard]] bool parse_enum(std::string_view v, std::size_t count,
-                              const char* (*name)(Enum), Enum& out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto e = static_cast<Enum>(i);
-    if (v == name(e)) {
-      out = e;
-      return true;
-    }
-  }
-  return false;
-}
+constexpr std::string_view kSpecMagic = "amacfuzz1";
 
 }  // namespace
 
+std::string format_spec(const Scenario& s) {
+  std::string out(kSpecMagic);
+  out.reserve(160);
+  for (const SpecField& field : kSpecFields) {
+    const std::size_t mark = out.size();
+    out += ':';
+    out += field.key;
+    out += '=';
+    const std::size_t value_at = out.size();
+    field.format(out, s);
+    if (out.size() == value_at) out.resize(mark);  // optional, at default
+  }
+  return out;
+}
+
 std::optional<Scenario> parse_spec(std::string_view spec) {
   // Convenience: a bare integer replays generate_scenario(seed).
-  if (!spec.empty() &&
-      spec.find_first_not_of("0123456789") == std::string_view::npos) {
-    std::uint64_t seed = 0;
-    if (!parse_u64(spec, seed)) return std::nullopt;
-    return generate_scenario(seed);
-  }
+  if (const auto seed = util::parse_u64(spec)) return generate_scenario(*seed);
 
   Scenario s;
-  s.crashes.clear();
-  s.holds.clear();
   bool first = true;
-  // Required scalar fields; crashes/holds stay optional.
-  std::uint32_t seen = 0;
-  constexpr std::uint32_t kAllScalar = (1u << 12) - 1;
-
+  std::uint32_t seen = 0;  // bit i: kSpecFields[i] was given
   while (!spec.empty()) {
     const std::size_t colon = spec.find(':');
     const std::string_view token = spec.substr(0, colon);
     spec = colon == std::string_view::npos ? std::string_view{}
                                            : spec.substr(colon + 1);
     if (first) {
-      if (token != "amacfuzz1") return std::nullopt;
+      if (token != kSpecMagic) return std::nullopt;
       first = false;
       continue;
     }
     const std::size_t eq = token.find('=');
     if (eq == std::string_view::npos) return std::nullopt;
     const std::string_view key = token.substr(0, eq);
-    const std::string_view val = token.substr(eq + 1);
-    std::uint64_t u = 0;
-    if (key == "seed") {
-      if (!parse_u64(val, u)) return std::nullopt;
-      s.seed = u;
-      seen |= 1u << 0;
-    } else if (key == "alg") {
-      const auto a = harness::algorithm_from_name(val);
-      if (!a) return std::nullopt;
-      s.algorithm = *a;
-      seen |= 1u << 1;
-    } else if (key == "topo") {
-      if (!parse_enum(val, kTopologyKindCount, topology_name, s.topology)) {
-        return std::nullopt;
-      }
-      seen |= 1u << 2;
-    } else if (key == "n") {
-      if (!parse_u64(val, u) || u == 0 || u > 16384) return std::nullopt;
-      s.n = static_cast<std::uint32_t>(u);
-      seen |= 1u << 3;
-    } else if (key == "aux") {
-      if (!parse_u64(val, u) || u > 16384) return std::nullopt;
-      s.aux = static_cast<std::uint32_t>(u);
-      seen |= 1u << 4;
-    } else if (key == "sched") {
-      if (!parse_enum(val, kSchedulerKindCount, scheduler_name,
-                      s.scheduler)) {
-        return std::nullopt;
-      }
-      seen |= 1u << 5;
-    } else if (key == "fack") {
-      if (!parse_u64(val, u) || u == 0) return std::nullopt;
-      s.fack = u;
-      seen |= 1u << 6;
-    } else if (key == "late") {
-      if (!parse_u64(val, u) || u > 1) return std::nullopt;
-      s.late_holds = u == 1;
-      seen |= 1u << 7;
-    } else if (key == "in") {
-      if (!parse_enum(val, kInputPatternCount, input_pattern_name,
-                      s.inputs)) {
-        return std::nullopt;
-      }
-      seen |= 1u << 8;
-    } else if (key == "ids") {
-      if (val == "identity") {
-        s.ids = IdAssignment::kIdentity;
-      } else if (val == "perm") {
-        s.ids = IdAssignment::kPermuted;
-      } else {
-        return std::nullopt;
-      }
-      seen |= 1u << 9;
-    } else if (key == "f") {
-      if (!parse_u64(val, u)) return std::nullopt;
-      s.benor_f = u;
-      seen |= 1u << 10;
-    } else if (key == "hz") {
-      if (!parse_u64(val, u) || u == 0) return std::nullopt;
-      s.horizon = u;
-      seen |= 1u << 11;
-    } else if (key == "crashes") {
-      if (!parse_at_pairs(val, s.crashes)) return std::nullopt;
-    } else if (key == "holds") {
-      if (!parse_at_pairs(val, s.holds)) return std::nullopt;
-    } else if (key == "script") {
-      if (!parse_script_slots(val, s.script)) return std::nullopt;
-    } else if (key == "drop") {
-      if (!parse_u64(val, u) || u == 0 || u > mac::LinkFaultPlan::kRateScale) {
-        return std::nullopt;
-      }
-      s.drop_rate_bp = static_cast<std::uint32_t>(u);
-    } else if (key == "dup") {
-      if (!parse_u64(val, u) || u == 0 || u > mac::LinkFaultPlan::kRateScale) {
-        return std::nullopt;
-      }
-      s.dup_rate_bp = static_cast<std::uint32_t>(u);
-    } else if (key == "log") {
-      if (!parse_log_fields(val, s)) return std::nullopt;
-    } else if (key == "faults") {
-      if (!parse_fault_windows(val, s.faults)) return std::nullopt;
-    } else {
+    const auto* row =
+        std::find_if(std::begin(kSpecFields), std::end(kSpecFields),
+                     [key](const SpecField& f) { return f.key == key; });
+    if (row == std::end(kSpecFields)) return std::nullopt;
+    const std::uint32_t bit = 1u << (row - std::begin(kSpecFields));
+    const std::string_view value = token.substr(eq + 1);
+    if ((seen & bit) != 0 || value.empty() || !row->parse(value, s)) {
       return std::nullopt;
     }
+    seen |= bit;
   }
-  if (first || seen != kAllScalar) return std::nullopt;
+  for (std::size_t i = 0; i < std::size(kSpecFields); ++i) {
+    if (kSpecFields[i].required && (seen & (1u << i)) == 0) return std::nullopt;
+  }
   return s;
 }
 
@@ -1452,8 +1325,7 @@ BuiltScenario build_scenario(const Scenario& s) {
   params.ids = b.ids;
   params.benor_f = s.benor_f;
   params.seed = s.seed;
-  if (s.algorithm == harness::Algorithm::kAnonymous ||
-      s.algorithm == harness::Algorithm::kStability) {
+  if (needs_diameter(s.algorithm)) {
     // Only the D-knowledge algorithms pay for this, and Graph::diameter is
     // double-sweep + iFUB (not all-pairs BFS), so a 4096-node build stays
     // sub-second — pinned by the wall-clock regression in test_net_graph.

@@ -11,6 +11,12 @@
 //     exact) used for `--replay` command lines and the pinned regression
 //     corpus. A violation report therefore fits in one copy-pastable line.
 //
+// Both directions of the spec codec are loops over one field table
+// (kSpecFields in scenario.cpp): each row is a key, whether the field is
+// required, and a format/parse function pair. A new Scenario field joins
+// the spec language as one table row; list-valued fields reuse the shared
+// `,`/`@` list helpers next to the table.
+//
 // `generate_scenario(seed)` draws every dimension from a single util::Rng
 // stream and only emits combinations inside the algorithms' guarantee
 // envelopes (e.g. the Theorem 3.3/3.9 algorithms only ever get the
@@ -20,6 +26,7 @@
 // reproduced with the same tooling (see tests/test_fuzz_regressions.cpp).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,6 +55,11 @@ enum class TopologyKind : std::uint8_t {
   kRandomGeometric = 9,
 };
 inline constexpr std::size_t kTopologyKindCount = 10;
+/// Spec tokens (`topo=`), indexed by TopologyKind; util::enum_name and
+/// util::enum_from_name are the lookups for every name array below.
+inline constexpr std::array<const char*, kTopologyKindCount> kTopologyNames = {
+    "clique", "line", "ring",    "star",     "grid",
+    "torus",  "tree", "barbell", "randconn", "geo"};
 
 enum class SchedulerKind : std::uint8_t {
   kSynchronous = 0,
@@ -59,6 +71,10 @@ enum class SchedulerKind : std::uint8_t {
   kScripted = 6,  ///< exact per-broadcast timeline (Scenario::script slots)
 };
 inline constexpr std::size_t kSchedulerKindCount = 7;
+/// Spec tokens (`sched=`), indexed by SchedulerKind.
+inline constexpr std::array<const char*, kSchedulerKindCount> kSchedulerNames =
+    {"sync",     "maxdelay", "uniform", "skewed", "contention",
+     "holdback", "scripted"};
 /// How many scheduler kinds generate_scenario draws from. kScripted is
 /// deliberately NOT generated — scripted timelines enter the search space
 /// only through mutation (timeline ops over corpus entries) and hand-written
@@ -75,8 +91,14 @@ enum class InputPattern : std::uint8_t {
   kMultivalued = 5,  ///< values in [0, 6); general-value algorithms only
 };
 inline constexpr std::size_t kInputPatternCount = 6;
+/// Spec tokens (`in=`), indexed by InputPattern.
+inline constexpr std::array<const char*, kInputPatternCount>
+    kInputPatternNames = {"all0", "all1", "alt", "split", "random", "multi"};
 
 enum class IdAssignment : std::uint8_t { kIdentity = 0, kPermuted = 1 };
+/// Spec tokens (`ids=`), indexed by IdAssignment.
+inline constexpr std::array<const char*, 2> kIdAssignmentNames = {"identity",
+                                                                  "perm"};
 
 struct CrashSpec {
   NodeId node = kNoNode;
@@ -165,12 +187,14 @@ struct Scenario {
   std::uint32_t log_lease = 64; ///< slots per lease renewal
 };
 
-// ---- enum names (spec tokens) ------------------------------------------
-
-[[nodiscard]] const char* topology_name(TopologyKind k);
-[[nodiscard]] const char* scheduler_name(SchedulerKind k);
-[[nodiscard]] const char* input_pattern_name(InputPattern p);
-[[nodiscard]] const char* id_assignment_name(IdAssignment a);
+/// The four log-service knobs in spec order (`log=ops@batch@window@lease`);
+/// the codec and the shrinker loop over them.
+inline constexpr std::array kLogKnobs = {
+    &Scenario::log_ops, &Scenario::log_batch, &Scenario::log_window,
+    &Scenario::log_lease};
+/// The two global fault rates (`drop=`, `dup=`), for the shrinker's loops.
+inline constexpr std::array kFaultRates = {&Scenario::drop_rate_bp,
+                                           &Scenario::dup_rate_bp};
 
 // ---- generation ---------------------------------------------------------
 
@@ -271,8 +295,15 @@ enum class MutationOp : std::uint8_t {
   kPerturbLogKnobs = 24, ///< nudge ops/batch/window/lease (log family only)
 };
 inline constexpr std::size_t kMutationOpCount = 25;
-
-[[nodiscard]] const char* mutation_name(MutationOp op);
+/// Diagnostic names, indexed by MutationOp.
+inline constexpr std::array<const char*, kMutationOpCount> kMutationNames = {
+    "perturb-fack",  "perturb-hold",   "perturb-crash",  "retime-hold",
+    "add-hold",      "remove-hold",    "add-crash",      "remove-crash",
+    "toggle-late",   "reseed",         "splice",         "script-timeline",
+    "retime-slot",   "swap-slots",     "dup-slot",       "drop-slot",
+    "add-window",    "remove-window",  "widen-window",   "narrow-window",
+    "perturb-rates", "receiver-delay", "splice-windows", "log-service",
+    "perturb-log"};
 
 /// Clamps a mutated scenario back inside its algorithm's guarantee
 /// envelope, mirroring generate_scenario's constraints (synchronous-only
@@ -306,7 +337,9 @@ void clamp_to_envelope(Scenario& s);
 [[nodiscard]] std::string format_spec(const Scenario& s);
 
 /// Parses a spec line (or, as a convenience, a bare decimal integer, which
-/// means generate_scenario(seed)). Returns nullopt on malformed input.
+/// means generate_scenario(seed)). Returns nullopt on malformed input,
+/// including a key given twice and an empty value (format_spec writes
+/// neither: it omits an optional field that is at its default).
 [[nodiscard]] std::optional<Scenario> parse_spec(std::string_view spec);
 
 // ---- materialization ----------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "util/parse.hpp"
+
 namespace amac::harness {
 
 std::vector<mac::Value> inputs_all(std::size_t n, mac::Value v) {
@@ -117,24 +119,13 @@ mac::ProcessFactory benor_factory(std::vector<mac::Value> inputs,
 }
 
 const char* algorithm_name(Algorithm a) {
-  switch (a) {
-    case Algorithm::kTwoPhase: return "two_phase";
-    case Algorithm::kFlooding: return "flooding";
-    case Algorithm::kWPaxos: return "wpaxos";
-    case Algorithm::kAnonymous: return "anonymous";
-    case Algorithm::kStability: return "stability";
-    case Algorithm::kBenOr: return "benor";
-  }
-  AMAC_ASSERT(false);
-  return "?";
+  return util::enum_name(kAlgorithmNames, a);
 }
 
 std::optional<Algorithm> algorithm_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
-    const auto a = static_cast<Algorithm>(i);
-    if (name == algorithm_name(a)) return a;
-  }
-  return std::nullopt;
+  Algorithm a{};
+  if (!util::enum_from_name(kAlgorithmNames, name, a)) return std::nullopt;
+  return a;
 }
 
 mac::ProcessFactory algorithm_factory(Algorithm algorithm,

@@ -3,6 +3,7 @@
 // the library, and a one-call consensus runner.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -90,6 +91,9 @@ enum class Algorithm : std::uint8_t {
 };
 
 inline constexpr std::size_t kAlgorithmCount = 6;
+/// Spec/CLI names, indexed by Algorithm (util::enum_name).
+inline constexpr std::array<const char*, kAlgorithmCount> kAlgorithmNames = {
+    "two_phase", "flooding", "wpaxos", "anonymous", "stability", "benor"};
 
 [[nodiscard]] const char* algorithm_name(Algorithm a);
 [[nodiscard]] std::optional<Algorithm> algorithm_from_name(

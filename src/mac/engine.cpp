@@ -479,6 +479,7 @@ void Network::process_event(const Event& e) {
       if (st.crashed) return;
       st.crashed = true;
       st.crash_time = now_;
+      if (in_flight_from(e.node, 0) > 0) ++stats_.mid_flight_crashes;
       // A crash is node-level: the node leaves every live instance's
       // undecided set at once (retired instances already left the count).
       for (Instance& inst : instances_) {

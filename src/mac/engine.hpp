@@ -200,6 +200,11 @@ struct EngineStats {
   std::uint64_t batch_pushes = 0;     ///< uniform fan-outs that took the
                                       ///< push_batch bucket reservation
   std::size_t wheel_span = 0;         ///< final wheel size in buckets
+  /// Crashes that hit a node while its instance-0 broadcast still had
+  /// undelivered copies (the non-atomic broadcast cancellation path).
+  /// Calendar engine only, like the wheel_* fields: 0 on ReferenceNetwork
+  /// and never part of a fingerprint.
+  std::uint64_t mid_flight_crashes = 0;
   /// Link-fault accounting (link_faults.hpp). Unlike the wheel_* fields
   /// these are decided by the plan's pure hash, not by queue internals, so
   /// they are identical across engines and safe to fingerprint.

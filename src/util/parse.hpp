@@ -1,16 +1,21 @@
-// Strict, whole-string numeric parsing for CLI flags and spec tokens.
+// Strict, whole-string parsing for CLI flags and spec tokens: numbers and
+// enum names.
 //
 // std::strtoull-style parsing silently turns garbage into 0 ("--count abc"
 // runs a zero-scenario soak that exits green); these helpers accept a value
-// only when the ENTIRE string is a well-formed number in range, and return
-// nullopt otherwise so callers can fail loudly.
+// only when the ENTIRE string is a well-formed number in range (or a name in
+// the enum's table), and fail otherwise so callers can fail loudly.
 #pragma once
 
+#include <array>
 #include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
+
+#include "util/assert.hpp"
 
 namespace amac::util {
 
@@ -52,6 +57,29 @@ namespace amac::util {
     return std::nullopt;
   }
   return out;
+}
+
+/// Name tables for small enums (spec tokens, CLI output): `names[i]`
+/// spells enum value i. enum_name is the table lookup.
+template <typename Enum, std::size_t N>
+[[nodiscard]] const char* enum_name(const std::array<const char*, N>& names,
+                                    Enum e) {
+  AMAC_ASSERT(static_cast<std::size_t>(e) < N);
+  return names[static_cast<std::size_t>(e)];
+}
+
+/// The strict inverse of enum_name: the whole of `v` must be a name in the
+/// table. Returns false (and leaves `out` untouched) otherwise.
+template <typename Enum, std::size_t N>
+[[nodiscard]] bool enum_from_name(const std::array<const char*, N>& names,
+                                  std::string_view v, Enum& out) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (v == names[i]) {
+      out = static_cast<Enum>(i);
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace amac::util

@@ -279,6 +279,13 @@ TEST(FuzzShrinker, StripsFaultNoiseToTheMinimalPlan) {
   EXPECT_EQ(shrunk.scenario.faults[0].to, 1u);
   EXPECT_EQ(shrunk.scenario.faults[0].until_tick, mac::kForever);
   EXPECT_LE(shrunk.scenario.n, 3u);  // surplus nodes shed too
+  // The exact minimal spec and the candidate runs it took are pinned: a
+  // change in shrink-candidate order or in the spec codec shows up here.
+  EXPECT_EQ(format_spec(shrunk.scenario),
+            "amacfuzz1:seed=1:alg=anonymous:topo=line:n=2:aux=0:sched=sync:"
+            "fack=1:late=0:in=split:ids=identity:f=0:hz=1000000:"
+            "faults=0@1@0@inf");
+  EXPECT_EQ(shrunk.attempts, 8u);
   // The minimal scenario still fails the same way, and its spec replays.
   EXPECT_EQ(shrunk.report.failure, FailureKind::kAgreement);
   const auto replayed = parse_spec(format_spec(shrunk.scenario));
@@ -317,6 +324,11 @@ TEST(FuzzShrinker, MinimizesAgreementCounterexample) {
   EXPECT_GT(shrunk.reductions, 0u);
   EXPECT_LE(shrunk.scenario.n, 4u);         // 8 -> ring minimum territory
   EXPECT_LE(shrunk.scenario.holds.size(), 2u);
+  EXPECT_EQ(format_spec(shrunk.scenario),
+            "amacfuzz1:seed=1:alg=anonymous:topo=ring:n=3:aux=0:"
+            "sched=holdback:fack=1:late=0:in=alt:ids=identity:f=0:hz=1000000:"
+            "holds=0@3,2@3");
+  EXPECT_EQ(shrunk.attempts, 32u);
   // The minimal scenario still fails the same way, and its spec replays.
   EXPECT_EQ(shrunk.report.failure, FailureKind::kAgreement);
   const auto replayed = parse_spec(format_spec(shrunk.scenario));
@@ -348,6 +360,11 @@ TEST(FuzzShrinker, DropsIrrelevantCrashes) {
       << "irrelevant crash survived shrinking: "
       << format_spec(shrunk.scenario);
   EXPECT_LT(shrunk.scenario.n, bloated.n);
+  EXPECT_EQ(format_spec(shrunk.scenario),
+            "amacfuzz1:seed=1:alg=anonymous:topo=line:n=4:aux=0:"
+            "sched=holdback:fack=1:late=0:in=split:ids=identity:f=0:"
+            "hz=1000000:holds=2@4");
+  EXPECT_EQ(shrunk.attempts, 34u);
 }
 
 }  // namespace

@@ -41,6 +41,47 @@ TEST(FuzzSpec, RejectsMalformedInput) {
   const std::string good = format_spec(generate_scenario(7));
   EXPECT_TRUE(parse_spec(good).has_value());
   EXPECT_FALSE(parse_spec(good + ":bogus=1").has_value());
+  // A key given twice is malformed, never last-wins or concatenated.
+  EXPECT_FALSE(parse_spec(good + ":seed=99").has_value());
+  EXPECT_TRUE(parse_spec(good + ":holds=0@5").has_value());
+  EXPECT_FALSE(parse_spec(good + ":holds=0@5:holds=1@6").has_value());
+  // So is an empty value or an empty list entry (format_spec omits an
+  // empty list instead of writing `crashes=`).
+  EXPECT_FALSE(parse_spec(good + ":crashes=").has_value());
+  EXPECT_FALSE(parse_spec(good + ":crashes=0@5,").has_value());
+  EXPECT_FALSE(parse_spec(good + ":log=").has_value());
+}
+
+TEST(FuzzSpec, RoundTripsEveryLineOfAMutatingSoak) {
+  // Every scenario a mutating, faulted, log-promoting soak runs, every
+  // corpus line it keeps, and every failure and minimal spec it reports
+  // must survive format -> parse -> format exactly.
+  std::vector<std::string> specs;
+  SoakOptions options;
+  options.count = 2000;
+  options.differential_every = 0;
+  options.mutate_ratio = 0.5;
+  options.fault_rate = 0.05;
+  options.log_every = 40;
+  options.on_scenario = [&specs](std::size_t, const Scenario& s,
+                                 const RunReport&) {
+    specs.push_back(format_spec(s));
+  };
+  const SoakResult result = run_soak(options);
+  for (const Scenario& s : result.corpus) specs.push_back(format_spec(s));
+  for (const SoakFailure& f : result.failures) {
+    specs.push_back(format_spec(f.scenario));
+    specs.push_back(format_spec(f.minimal));
+  }
+  ASSERT_EQ(result.runs, 2000u);
+  EXPECT_GT(result.mutated_runs, 0u);
+  EXPECT_GT(result.log_scenarios, 0u);
+  EXPECT_GT(result.faulted_scenarios, 0u);
+  for (const std::string& spec : specs) {
+    const auto parsed = parse_spec(spec);
+    ASSERT_TRUE(parsed.has_value()) << spec;
+    EXPECT_EQ(format_spec(*parsed), spec);
+  }
 }
 
 TEST(FuzzLargeTopology, PromotedScenariosStaySparseAndRoundTrip) {
@@ -232,13 +273,13 @@ TEST(FuzzSoak, PinnedCorpusRunsCleanAcrossAllSixAlgorithms) {
 
 TEST(FuzzSoak, ProtocolStatsCollectionNeverPerturbsRuns) {
   // The determinism regression for the protocol coverage dimension AND the
-  // link-fault layer: ProtocolStats collection is a post-run const read,
-  // and generated scenarios carry an empty LinkFaultPlan (the generator
-  // never draws faults; the plan hash is consulted only when a plan is
-  // installed), so the pinned 504-corpus digest must be BIT-IDENTICAL with
-  // collection on (the default) and off — and bit-identical to the digest
-  // pinned before the fault dimensions existed. A change to this constant
-  // means run behavior moved and must be a reviewed, deliberate decision.
+  // link-fault layer: ProtocolStats collection (always on for calendar
+  // runs) is a post-run const read, and generated scenarios carry an empty
+  // LinkFaultPlan (the generator never draws faults; the plan hash is
+  // consulted only when a plan is installed), so the pinned 504-corpus
+  // digest is bit-identical to the digest pinned before either existed. A
+  // change to this constant means run behavior moved and must be a
+  // reviewed, deliberate decision.
   //
   // Pin history: 0xfa43aa7e095f5b45 (PR 2-5) was re-pinned once, in the PR
   // that added fault injection, because fixing the wPAXOS at-most-once
@@ -253,44 +294,33 @@ TEST(FuzzSoak, ProtocolStatsCollectionNeverPerturbsRuns) {
   options.seed_base = 1;
   options.count = 504;
   options.differential_every = 0;
-  const SoakResult with = run_soak(options);
-  options.collect_protocol_stats = false;
-  const SoakResult without = run_soak(options);
+  const SoakResult result = run_soak(options);
+  EXPECT_EQ(result.corpus_digest, kPinned504Digest);
 
-  EXPECT_EQ(with.corpus_digest, kPinned504Digest);
-  EXPECT_EQ(without.corpus_digest, kPinned504Digest);
+  // The protocol buckets refine coverage: the full signature space is
+  // strictly wider than its engine-only projection, and the runs reach
+  // more than the all-zero protocol corner.
+  EXPECT_GT(result.coverage.distinct, result.coverage.engine_distinct);
+  EXPECT_GT(result.coverage.protocol_distinct, 1u);
 
-  // Collection ON refines coverage (protocol buckets split engine
-  // signatures); OFF reproduces the engine-only signature space exactly.
-  EXPECT_GT(with.coverage.distinct, without.coverage.distinct);
-  EXPECT_EQ(without.coverage.distinct, without.coverage.engine_distinct);
-  EXPECT_EQ(with.coverage.engine_distinct, without.coverage.engine_distinct);
-  EXPECT_EQ(without.coverage.protocol_distinct, 1u);  // all-zero projection
-  EXPECT_GT(with.coverage.protocol_distinct, 1u);
-
-  // Two differential replays (calendar vs frozen reference engine) are
-  // bit-identical with collection on and off.
+  // Differential replays of the two stat-richest algorithms: the calendar
+  // run collects protocol stats, the reference replay never does, and the
+  // fingerprints match bit for bit.
   std::size_t checked = 0;
   for (std::uint64_t seed = 1; seed <= 504 && checked < 2; ++seed) {
     const Scenario s = generate_scenario(seed);
     if (s.algorithm != Algorithm::kWPaxos &&
         s.algorithm != Algorithm::kBenOr) {
-      continue;  // take the two stat-richest algorithms
+      continue;
     }
     ++checked;
     RunOptions on;
     on.differential = true;
-    RunOptions off = on;
-    off.collect_protocol_stats = false;
-    const RunReport a = run_scenario(s, on);
-    const RunReport b = run_scenario(s, off);
-    ASSERT_TRUE(a.differential_ran);
-    ASSERT_TRUE(b.differential_ran);
-    EXPECT_EQ(a.failure, FailureKind::kNone) << format_spec(s);
-    EXPECT_EQ(a.fingerprint, b.fingerprint) << format_spec(s);
-    EXPECT_EQ(a.trace_digest, b.trace_digest) << format_spec(s);
-    EXPECT_EQ(a.reference_fingerprint, b.reference_fingerprint)
-        << format_spec(s);
+    const RunReport r = run_scenario(s, on);
+    ASSERT_TRUE(r.differential_ran);
+    EXPECT_EQ(r.failure, FailureKind::kNone) << format_spec(s);
+    EXPECT_EQ(r.fingerprint, r.reference_fingerprint) << format_spec(s);
+    EXPECT_NE(coverage_signature(s, r).protocol_key(), 0u) << format_spec(s);
   }
   EXPECT_EQ(checked, 2u);
 }

@@ -33,6 +33,21 @@ TEST(Crash, MidBroadcastPartialDelivery) {
   }
   EXPECT_EQ(from_1_at_0, 1u);
   EXPECT_EQ(from_1_at_2, 0u);
+  // The engine counts the crash that cancelled the pending copy.
+  EXPECT_EQ(net.stats().mid_flight_crashes, 1u);
+}
+
+TEST(Crash, CrashAfterLastBroadcastDrainedIsNotMidFlight) {
+  // Same line, but node 1 crashes at t=6, after its only broadcast reached
+  // both neighbours (t=1 and t=5): nothing was in flight to cancel.
+  const auto g = net::make_line(3);
+  ScriptedScheduler sched;
+  sched.script(1, 0, /*ack=*/5, {{0, 1}, {2, 5}});
+  Network net(g, probe_factory(1), sched);
+  net.schedule_crash(CrashPlan{1, 6});
+  net.run(StopWhen::kQuiescent, 100);
+  EXPECT_TRUE(net.crashed(1));
+  EXPECT_EQ(net.stats().mid_flight_crashes, 0u);
 }
 
 TEST(Crash, CrashedNodeGetsNoCallbacks) {
