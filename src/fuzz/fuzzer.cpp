@@ -125,7 +125,8 @@ RunReport run_on_engine(const Scenario& s) {
 /// those, and the fingerprint folds the service observables (kv digest,
 /// prefix digest, stats, per-node crash flags) — no event-trace digest,
 /// which is fine because differential replay is skipped for the family
-/// anyway (the frozen ReferenceNetwork has no instance multiplexing).
+/// anyway (the frozen ReferenceNetwork adds instances only before the run,
+/// and the log launches its slots mid-run).
 RunReport run_log_scenario(const Scenario& s) {
   BuiltScenario b = build_scenario(s);
   log::LogConfig cfg;
@@ -732,9 +733,9 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
     // would dominate the soak. Skips are counted, never silent.
     const bool diff_too_large =
         options.differential_max_n != 0 && s.n > options.differential_max_n;
-    // The frozen reference engine predates instance multiplexing, so the
-    // log-service family cannot replay there at all; count those skips
-    // with the size-based ones.
+    // The frozen reference engine adds instances only before the run, and
+    // the log launches slots mid-run, so the log-service family cannot
+    // replay there at all; count those skips with the size-based ones.
     const bool diff_log = s.log_ops > 0;
     run_options.differential = diff_due && !diff_too_large && !diff_log;
     if (diff_due && (diff_too_large || diff_log)) {

@@ -124,8 +124,8 @@
 // that promotes into the family reaches engine-signature corners an
 // instance-only soak cannot, which CI asserts as a set difference over the
 // printed engine-key lists. Differential replay is skipped for the family
-// (the frozen ReferenceNetwork has no instance multiplexing), counted with
-// the other skips in the summary.
+// (the frozen ReferenceNetwork adds instances only before the run, and the
+// log launches slots mid-run), counted with the other skips in the summary.
 //
 //   --corpus-out FILE   write the final corpus as spec lines (one per line)
 //   --corpus-in FILE    pre-seed the mutation corpus from such a file

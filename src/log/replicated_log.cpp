@@ -10,8 +10,7 @@ namespace amac::log {
 ReplicatedLog::ReplicatedLog(const net::Graph& graph,
                              mac::Scheduler& scheduler,
                              const Workload& workload, LogConfig config)
-    : graph_(graph),
-      workload_(workload),
+    : workload_(workload),
       config_(config),
       n_(graph.node_count()),
       total_slots_((workload.size() + config.batch_size - 1) /
@@ -44,7 +43,6 @@ ReplicatedLog::ReplicatedLog(const net::Graph& graph,
   // elective lease renewal; the rest of the initial window launches
   // pre-run.
   slots_[0].instance = 0;
-  slots_[0].launched = true;
   slots_[0].full_paxos = true;
   slots_[0].elective = true;
   ++stats_.slots_full_paxos;
@@ -108,7 +106,6 @@ void ReplicatedLog::launch_ready_slots() {
     rec.sole = static_cast<mac::Value>(slot);
     rec.elective = renewal;
     rec.instance = net_.add_instance(slot_factory(slot, mode, rec.sole));
-    rec.launched = true;
     rec.launched_at = net_.now();
     rec.full_paxos = mode != SlotMode::kLeased;
     if (rec.full_paxos) {
@@ -117,18 +114,17 @@ void ReplicatedLog::launch_ready_slots() {
       ++stats_.slots_leased;
     }
     inflight_.push_back(slot);
-    just_launched_ = true;
   }
 }
 
-void ReplicatedLog::pump(mac::Network& net) {
-  // Scan the (window-bounded) in-flight set for freshly decided slots.
-  // instance_all_decided is O(1) per instance, so this is O(window) per
-  // event — the service layer's constant, not a hidden O(slots).
+bool ReplicatedLog::pump() {
+  // Collect the slots that finished since the last stop, in inflight_
+  // order: one crash event can finish several at once. O(window) per
+  // decide notification, not per engine event.
   bool any = false;
   for (std::size_t i = 0; i < inflight_.size();) {
     const std::size_t slot = inflight_[i];
-    if (net.instance_all_decided(slots_[slot].instance)) {
+    if (net_.instance_all_decided(slots_[slot].instance)) {
       inflight_.erase(inflight_.begin() + static_cast<std::ptrdiff_t>(i));
       on_slot_decided(slot);
       any = true;
@@ -141,6 +137,7 @@ void ReplicatedLog::pump(mac::Network& net) {
     serve_ready_reads();
     launch_ready_slots();
   }
+  return any;
 }
 
 void ReplicatedLog::on_slot_decided(std::size_t slot) {
@@ -307,13 +304,14 @@ void ReplicatedLog::recover_stalled_slots() {
 const LogServiceStats& ReplicatedLog::drive(mac::Time horizon) {
   AMAC_EXPECTS(!driven_);  // one service run per ReplicatedLog
   driven_ = true;
-  net_.set_post_event_hook([this](mac::Network& net) { pump(net); });
 
   std::size_t recovery_rounds = 0;
   for (;;) {
-    const auto result = net_.run(mac::StopWhen::kQuiescent, horizon);
-    just_launched_ = false;
-    pump(net_);  // a final event can decide the last slot
+    const auto result = net_.run(mac::StopWhen::kInstanceDecided, horizon);
+    // A stop that found decided slots runs on (a drain included: the
+    // slots it just launched have pending events). Only a run that ends
+    // with nothing newly decided reaches the checks below.
+    if (pump() && result.condition_met) continue;
     stats_.end_time = net_.now();
     if (next_apply_ == total_slots_) {
       stats_.complete = true;
@@ -326,10 +324,7 @@ const LogServiceStats& ReplicatedLog::drive(mac::Time horizon) {
       break;
     }
     // Quiescent with undecided slots — even exactly at the horizon tick,
-    // the event queue (not the budget) was the binding constraint. If the
-    // final pump just launched fresh instances their events are merely
-    // pending, not stalled: keep running without burning a recovery round.
-    if (just_launched_) continue;
+    // the event queue (not the budget) was the binding constraint.
     if (recovery_rounds++ >= config_.max_recovery_rounds) break;
     recover_stalled_slots();
   }

@@ -28,9 +28,11 @@
 //   binary.
 //
 // Pipelining: up to `window` slot instances are in flight concurrently —
-// later slots launch mid-run (from the engine's post-event hook) as
-// earlier ones decide. Decides may land out of slot order; the state
-// machine still applies batches in slot order (contiguous-prefix rule).
+// drive() runs the engine with StopWhen::kInstanceDecided, so the run
+// stops at the event that finishes a slot, and later slots launch mid-run
+// at that tick as earlier ones decide. Decides may land out of slot order;
+// the state machine still applies batches in slot order (contiguous-prefix
+// rule).
 //
 // Reads: submit_read(key) is a leader read with a read-index freshness
 // bound — the read binds to the latest DECIDED slot at issue time and is
@@ -210,7 +212,6 @@ class ReplicatedLog {
     /// deliveries+broadcasts snapshot from the last recovery look: a
     /// full-paxos slot is only relaunched when this did not move.
     std::uint64_t progress = 0;
-    bool launched = false;
     bool decided = false;
     bool full_paxos = false;
     bool elective = false;
@@ -224,14 +225,13 @@ class ReplicatedLog {
   [[nodiscard]] mac::ProcessFactory slot_factory(std::size_t slot,
                                                  SlotMode mode,
                                                  mac::Value forced) const;
-  void pump(mac::Network& net);
+  bool pump();
   void on_slot_decided(std::size_t slot);
   void apply_ready_prefix();
   void serve_ready_reads();
   void launch_ready_slots();
   void recover_stalled_slots();
 
-  const net::Graph& graph_;
   const Workload& workload_;
   LogConfig config_;
   std::size_t n_;
@@ -253,11 +253,6 @@ class ReplicatedLog {
   bool lease_ok_ = true;
   /// Slot count the freshest read must wait for: latest decided slot + 1.
   std::size_t read_bound_ = 0;
-  /// Set when launch_ready_slots adds instances; drive() clears it before
-  /// the post-run pump so recovery can tell "quiescent because stalled"
-  /// from "quiescent because the final decide just launched fresh slots
-  /// whose events are still pending".
-  bool just_launched_ = false;
   std::vector<ReadRecord> reads_;
   std::size_t next_read_serve_ = 0;  ///< reads_[0..this) are served
   KvStateMachine kv_;

@@ -20,7 +20,7 @@ class Network::NodeContext final : public Context {
     AMAC_EXPECTS(!st.decision.decided);
     st.decision = Decision{true, v, net_->now_};
     AMAC_ENSURES(inst.undecided_alive > 0);
-    --inst.undecided_alive;
+    if (--inst.undecided_alive == 0) net_->instance_decided_ = true;
     AMAC_ENSURES(net_->undecided_alive_ > 0);
     --net_->undecided_alive_;
   }
@@ -67,6 +67,9 @@ InstanceId Network::add_instance(const ProcessFactory& factory) {
     ++inst.undecided_alive;
   }
   undecided_alive_ += inst.undecided_alive;
+  // Vacuously decided (every node already crashed): reported to
+  // kInstanceDecided like any other finished instance.
+  if (inst.undecided_alive == 0) instance_decided_ = true;
   instances_.push_back(std::move(inst));
   if (started_) {
     // Launched mid-run (e.g. a pipelined log slot): start callbacks fire
@@ -105,41 +108,6 @@ void Network::schedule_crash(const CrashPlan& plan) {
 void Network::set_link_faults(const LinkFaultPlan& plan) {
   AMAC_EXPECTS(!started_);
   faults_ = plan;
-}
-
-void Network::reset(const ProcessFactory& factory) {
-  for (Instance& inst : instances_) {
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      auto& st = inst.nodes[u];
-      if (st.flight_slot != kNoFlight) {
-        // Abandon the in-flight broadcast: release its payload slot and
-        // keep the flight record (capacity included) on the free list.
-        Flight& flight = flights_[st.flight_slot];
-        pool_.release(flight.payload_slot);
-        flight.pending.clear();
-        flight.undrained_events = 0;
-        st.flight_slot = kNoFlight;
-      }
-    }
-  }
-  for (auto& st : nodes_) {
-    st.crashed = false;
-    st.crash_time = kForever;
-  }
-  instances_.clear();
-  undecided_alive_ = 0;
-  free_flights_.clear();
-  for (std::uint32_t slot = 0; slot < flights_.size(); ++slot) {
-    free_flights_.push_back(slot);
-  }
-  events_.clear();
-  next_seq_ = 0;
-  next_broadcast_id_ = 1;
-  now_ = 0;
-  stats_ = EngineStats{};
-  started_ = false;
-  trace_hasher_ = util::Hasher{};
-  (void)add_instance(factory);
 }
 
 const Decision& Network::decision(NodeId u, InstanceId instance) const {
@@ -485,7 +453,7 @@ void Network::process_event(const Event& e) {
       for (Instance& inst : instances_) {
         if (inst.retired || inst.nodes[e.node].decision.decided) continue;
         AMAC_ENSURES(inst.undecided_alive > 0);
-        --inst.undecided_alive;
+        if (--inst.undecided_alive == 0) instance_decided_ = true;
         AMAC_ENSURES(undecided_alive_ > 0);
         --undecided_alive_;
       }
@@ -565,6 +533,7 @@ RunResult Network::run(StopWhen until, Time max_time) {
     return until == StopWhen::kAllDecided && all_alive_decided();
   };
   const auto finish = [&](bool met) {
+    if (met) instance_decided_ = false;  // reported (see StopWhen)
     stats_.peak_events = events_.peak_size();
     stats_.wheel_pushes = events_.wheel_pushes();
     stats_.overflow_pushes = events_.overflow_pushes();
@@ -583,10 +552,12 @@ RunResult Network::run(StopWhen until, Time max_time) {
     if (trace_enabled_) trace_event(e);
     process_event(e);
     if (post_event_hook_) post_event_hook_(*this);
+    if (until == StopWhen::kInstanceDecided && instance_decided_) {
+      return finish(true);
+    }
   }
   // Queue drained: quiescent.
-  const bool met = until == StopWhen::kQuiescent || all_alive_decided();
-  return finish(met);
+  return finish(until != StopWhen::kAllDecided || all_alive_decided());
 }
 
 }  // namespace amac::mac

@@ -112,8 +112,9 @@
 //     multiplexed costs. Per-instance InstanceStats track each instance's
 //     traffic and payload-pool footprint (live/peak slots and bytes).
 //   * Lifecycle. add_instance() may be called before or DURING a run (a
-//     replicated log launches pipelined slots as earlier slots decide);
-//     mid-run instances get their on_start callbacks at the current tick.
+//     replicated log launches pipelined slots between run(kInstanceDecided)
+//     calls as earlier slots decide); mid-run instances get their on_start
+//     callbacks at the current tick.
 //     retire_instance() destroys a finished instance's processes and
 //     returns its pool claims as its flights drain; events addressed to a
 //     retired instance are consumed as pure bookkeeping (no callbacks, no
@@ -236,9 +237,21 @@ struct InstanceStats {
 };
 
 /// When `run` should stop (besides the time horizon).
+///
+/// kInstanceDecided is the engine's decide notification: run() returns
+/// right after the event during which some instance's last undecided live
+/// node decided or crashed, so a caller reacts to decides instead of
+/// polling every instance after every event. An instance that becomes
+/// decided outside an event — added with no live node, or deciding in a
+/// mid-run on_start — is reported after the next event, never before it.
+/// condition_met is true for such a stop and when the queue drains (as
+/// for kQuiescent), false when the horizon stopped the run with events
+/// pending. A decide is reported once: the notice is cleared whenever
+/// run() returns condition_met = true, whatever the stop condition.
 enum class StopWhen {
-  kAllDecided,  ///< every non-crashed node has decided (in every instance)
-  kQuiescent,   ///< no events left
+  kAllDecided,       ///< every non-crashed node decided (in every instance)
+  kQuiescent,        ///< no events left
+  kInstanceDecided,  ///< some instance just became fully decided
 };
 
 struct RunResult {
@@ -273,20 +286,12 @@ class Network {
   /// engines for differential replay.
   void set_link_faults(const LinkFaultPlan& plan);
 
-  /// Returns the network to its pre-run state for another experiment on the
-  /// same topology/scheduler/plan: back to a SINGLE instance 0 with fresh
-  /// processes from `factory`, empty event queue (capacity kept), zeroed
-  /// stats — including the link-fault counters — and released
-  /// flights/payload slots. Scheduler-internal state (e.g. Holdback holds,
-  /// RNG positions) is the caller's to reset; the installed fault plan and
-  /// crash-free slate carry over.
-  void reset(const ProcessFactory& factory);
-
   /// Adds a concurrent protocol instance (design doc: "Instance
   /// multiplexing") and returns its id. Callable before the first run or
-  /// mid-run from a post-event hook: once the run has started, the new
-  /// instance's on_start callbacks fire immediately at the current tick
-  /// (crashed nodes get no process and no callbacks).
+  /// mid-run, typically between run(StopWhen::kInstanceDecided) calls: once
+  /// the run has started, the new instance's on_start callbacks fire
+  /// immediately at the current tick (crashed nodes get no process and no
+  /// callbacks).
   InstanceId add_instance(const ProcessFactory& factory);
 
   /// Destroys a finished instance's processes. Subsequent events addressed
@@ -306,9 +311,10 @@ class Network {
     events_.set_resize_enabled(enabled);
   }
 
-  /// Invoked after every processed event; used by invariant monitors
-  /// (e.g. the Lemma 4.2 response-count conservation check) and by the
-  /// replicated-log driver to launch pipelined slot instances mid-run.
+  /// Invoked after every processed event. For per-event invariants (the
+  /// Lemma 4.2 response-count conservation monitor) and per-event
+  /// observers (tracing, examples, tests); a caller that only reacts to
+  /// decides should run with StopWhen::kInstanceDecided instead.
   void set_post_event_hook(std::function<void(Network&)> hook) {
     post_event_hook_ = std::move(hook);
   }
@@ -449,6 +455,7 @@ class Network {
   std::size_t undecided_alive_ = 0;  ///< sum across live instances
   EngineStats stats_;
   std::function<void(Network&)> post_event_hook_;
+  bool instance_decided_ = false;  ///< kInstanceDecided notice (sticky)
   bool started_ = false;
   bool trace_enabled_ = false;
   util::Hasher trace_hasher_;

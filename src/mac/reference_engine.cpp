@@ -20,7 +20,7 @@ class ReferenceNetwork::NodeContext final : public Context {
     AMAC_EXPECTS(!st.decision.decided);
     st.decision = Decision{true, v, net_->now_};
     AMAC_ENSURES(inst.undecided_alive > 0);
-    --inst.undecided_alive;
+    if (--inst.undecided_alive == 0) net_->instance_decided_ = true;
     AMAC_ENSURES(net_->undecided_alive_ > 0);
     --net_->undecided_alive_;
   }
@@ -297,7 +297,7 @@ void ReferenceNetwork::process_event(const RefEvent& e) {
       for (Instance& inst : instances_) {
         if (inst.nodes[e.node].decision.decided) continue;
         AMAC_ENSURES(inst.undecided_alive > 0);
-        --inst.undecided_alive;
+        if (--inst.undecided_alive == 0) instance_decided_ = true;
         AMAC_ENSURES(undecided_alive_ > 0);
         --undecided_alive_;
       }
@@ -356,21 +356,27 @@ RunResult ReferenceNetwork::run(StopWhen until, Time max_time) {
   const auto condition_met = [&] {
     return until == StopWhen::kAllDecided && all_alive_decided();
   };
+  const auto finish = [&](bool met) {
+    if (met) instance_decided_ = false;  // reported (see StopWhen)
+    return RunResult{met, now_};
+  };
 
   while (!events_.empty()) {
-    if (condition_met()) return RunResult{true, now_};
+    if (condition_met()) return finish(true);
     const RefEvent e = events_.top();
-    if (e.t > max_time) return RunResult{condition_met(), now_};
+    if (e.t > max_time) return finish(condition_met());
     events_.pop();
     AMAC_ENSURES(e.t >= now_);
     now_ = e.t;
     if (trace_enabled_) trace_event(e);
     process_event(e);
     if (post_event_hook_) post_event_hook_(*this);
+    if (until == StopWhen::kInstanceDecided && instance_decided_) {
+      return finish(true);
+    }
   }
   // Queue drained: quiescent.
-  const bool met = until == StopWhen::kQuiescent || all_alive_decided();
-  return RunResult{met, now_};
+  return finish(until != StopWhen::kAllDecided || all_alive_decided());
 }
 
 }  // namespace amac::mac

@@ -55,7 +55,8 @@ class ReferenceNetwork {
 
   /// Identical contract to Network::add_instance (instance-major start
   /// order, same seq allocation); pre-run only on this engine — the
-  /// replicated-log driver that launches mid-run targets Network.
+  /// replicated-log driver that launches mid-run targets Network. Every
+  /// node is alive pre-run, so an instance is never vacuously decided here.
   InstanceId add_instance(const ProcessFactory& factory);
 
   [[nodiscard]] std::size_t instance_count() const {
@@ -173,6 +174,7 @@ class ReferenceNetwork {
   std::size_t undecided_alive_ = 0;
   EngineStats stats_;
   std::function<void(ReferenceNetwork&)> post_event_hook_;
+  bool instance_decided_ = false;  ///< kInstanceDecided notice (sticky)
   bool started_ = false;
   bool trace_enabled_ = false;
   util::Hasher trace_hasher_;

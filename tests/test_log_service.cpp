@@ -8,6 +8,7 @@
 #include "log/replicated_log.hpp"
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
+#include "util/hash.hpp"
 
 namespace amac::log {
 namespace {
@@ -31,6 +32,31 @@ LogServiceStats drive_service(const net::Graph& graph,
   LogServiceStats stats = service.drive(horizon);
   if (kv != nullptr) *kv = service.state_machine();
   return stats;
+}
+
+/// Every LogServiceStats field, per-slot and per-read vectors included:
+/// pins the driver's exact observable behaviour, not just its verdicts.
+std::uint64_t stats_digest(const LogServiceStats& s) {
+  util::Hasher h;
+  for (const std::uint64_t v :
+       {std::uint64_t{s.slots_total}, std::uint64_t{s.slots_decided},
+        std::uint64_t{s.slots_full_paxos}, std::uint64_t{s.slots_leased},
+        std::uint64_t{s.slots_recovered}, std::uint64_t{s.relaunches},
+        std::uint64_t{s.re_elections}, std::uint64_t{s.ops_applied},
+        std::uint64_t{s.oracle_failures}, std::uint64_t{s.reads_issued},
+        std::uint64_t{s.reads_served}, s.payload_bytes, s.broadcasts,
+        s.end_time, std::uint64_t{s.leader}}) {
+    h.mix_u64(v);
+  }
+  h.mix_bool(s.complete);
+  h.mix_bool(s.horizon_exhausted);
+  h.mix_bool(s.lease_ok);
+  for (const std::vector<mac::Time>* v :
+       {&s.decide_latency, &s.relaunched_at, &s.read_latency}) {
+    h.mix_u64(v->size());
+    for (const mac::Time t : *v) h.mix_u64(t);
+  }
+  return h.digest();
 }
 
 TEST(LogWorkload, IsDeterministicAndSeedSensitive) {
@@ -178,6 +204,9 @@ TEST(LogService, RecoversWhenLeaseHolderCrashes) {
   const auto qs = drive_service(graph, workload, clean, &clean_kv);
   ASSERT_TRUE(qs.complete);
   EXPECT_EQ(crashed_kv.digest(), clean_kv.digest());
+  // Exact driver behaviour (recovery ticks, latencies, relaunch count),
+  // pinned at the hook-driven implementation the decide-stop loop replaced.
+  EXPECT_EQ(stats_digest(cs), 0x593cbb06055fd709ull);
 }
 
 TEST(LogService, ReElectsLeaderAfterCrashAndResumesFastPath) {
@@ -278,6 +307,7 @@ TEST(LogService, MultiRoundRecoveryCountsEachSlotOnce) {
   EXPECT_GT(stats.relaunches, stats.slots_recovered);  // later rounds retried
   EXPECT_LT(stats.relaunches,
             config.max_recovery_rounds * 2u + 2u);  // but skipped live ones
+  EXPECT_EQ(stats_digest(stats), 0x00858a5c7c8fb6a0ull);
 }
 
 TEST(LogService, QuiescenceExactlyAtHorizonStillRecovers) {
@@ -363,6 +393,7 @@ TEST(LogService, LeaderReadsHonorTheReadIndexBound) {
   EXPECT_EQ(service.reads()[id].value,
             service.state_machine().get(workload.op(0).key));
   EXPECT_EQ(service.reads()[id].bound, 16u);
+  EXPECT_EQ(stats_digest(service.stats()), 0xb40ff344466aba8eull);
 }
 
 TEST(LogService, HorizonExhaustionReportsIncomplete) {

@@ -144,6 +144,8 @@ void expect_equal(const RunRecord& a, const RunRecord& b) {
   EXPECT_EQ(a.stats.payload_bytes, b.stats.payload_bytes);
   EXPECT_EQ(a.stats.max_payload_bytes, b.stats.max_payload_bytes);
   EXPECT_EQ(a.stats.peak_events, b.stats.peak_events);
+  EXPECT_EQ(a.stats.drops, b.stats.drops);
+  EXPECT_EQ(a.stats.duplicates, b.stats.duplicates);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.condition_met, b.condition_met);
   ASSERT_EQ(a.decisions.size(), b.decisions.size());
@@ -160,9 +162,11 @@ RunRecord run_traced(const net::Graph& g, const ProcessFactory& factory,
                      Scheduler& sched, const std::vector<CrashPlan>& crashes,
                      StopWhen until, Time horizon,
                      const net::Graph* overlay = nullptr,
-                     const std::function<void()>& post_construct = {}) {
+                     const std::function<void()>& post_construct = {},
+                     const LinkFaultPlan& faults = {}) {
   Net net(g, factory, sched, overlay);
   net.enable_trace_digest();
+  net.set_link_faults(faults);
   for (const auto& plan : crashes) net.schedule_crash(plan);
   // E.g. scheduler mutations that must not influence construction-time
   // decisions like calendar-wheel sizing (late holdback holds).
@@ -297,16 +301,28 @@ TEST(EngineDifferential, UnreliableOverlay) {
 // --- determinism ---------------------------------------------------------
 
 TEST(EngineDeterminism, SameSeedSameDigest) {
+  // Two fresh networks, fault-free and under the same LinkFaultPlan: the
+  // plan's verdicts hash broadcast ids, so the drop/duplicate counters
+  // replay exactly along with everything else.
   const auto g = net::make_ring(10);
-  const auto once = [&] {
-    UniformRandomScheduler sched(8, 4242);
-    return run_traced<Network>(g, probe_factory(7), sched, {{4, 9}},
-                               StopWhen::kQuiescent, 100000);
-  };
-  const auto a = once();
-  const auto b = once();
-  expect_equal(a, b);
-  EXPECT_NE(a.trace, 0u);
+  LinkFaultPlan faulted;
+  faulted.seed = 0xFA017;
+  faulted.drop_rate_bp = 900;
+  faulted.dup_rate_bp = 400;
+  faulted.windows.push_back(DropWindow{0, 1, 5, 60});
+  for (const LinkFaultPlan& faults : {LinkFaultPlan{}, faulted}) {
+    const auto once = [&] {
+      UniformRandomScheduler sched(8, 4242);
+      return run_traced<Network>(g, probe_factory(7), sched, {{4, 9}},
+                                 StopWhen::kQuiescent, 100000, nullptr, {},
+                                 faults);
+    };
+    const auto a = once();
+    const auto b = once();
+    expect_equal(a, b);
+    EXPECT_NE(a.trace, 0u);
+    EXPECT_EQ(a.stats.drops > 0 && a.stats.duplicates > 0, !faults.empty());
+  }
 }
 
 TEST(EngineDeterminism, DifferentSeedDifferentDigest) {
@@ -548,47 +564,6 @@ TEST(EngineAllocation, WheelResizeMidRunThenSteadyStateIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady state after a wheel resize allocated";
   EXPECT_GT(net.stats().deliveries, 30000u);
-}
-
-TEST(EngineReuse, ResetZeroesStatsAndReplaysFaultedRunBitForBit) {
-  // Network::reset() returns the engine to its pre-run state for another
-  // experiment: fresh processes, zeroed EngineStats — including the
-  // link-fault drop/duplicate counters — while the installed LinkFaultPlan
-  // carries over. With a stateless scheduler the re-run must then be an
-  // exact replay: same fault decisions (they hash broadcast ids, which
-  // restart), same counters, same digest-relevant stats.
-  const auto g = net::make_ring(10);
-  SynchronousScheduler sched(2);
-  const auto factory = [](NodeId) { return std::make_unique<SteadyPinger>(); };
-  Network net(g, factory, sched);
-  LinkFaultPlan plan;
-  plan.seed = 0xFA017;
-  plan.drop_rate_bp = 900;
-  plan.dup_rate_bp = 400;
-  plan.windows.push_back(DropWindow{0, 1, 5, 60});
-  net.set_link_faults(plan);
-
-  net.run(StopWhen::kQuiescent, 400);
-  const EngineStats first = net.stats();
-  EXPECT_GT(first.drops, 0u);
-  EXPECT_GT(first.duplicates, 0u);
-  EXPECT_GT(first.deliveries, 0u);
-
-  net.reset(factory);
-  EXPECT_EQ(net.stats().drops, 0u);
-  EXPECT_EQ(net.stats().duplicates, 0u);
-  EXPECT_EQ(net.stats().deliveries, 0u);
-  EXPECT_EQ(net.stats().broadcasts, 0u);
-  EXPECT_EQ(net.stats().acks, 0u);
-
-  net.run(StopWhen::kQuiescent, 400);
-  const EngineStats second = net.stats();
-  EXPECT_EQ(second.drops, first.drops);
-  EXPECT_EQ(second.duplicates, first.duplicates);
-  EXPECT_EQ(second.deliveries, first.deliveries);
-  EXPECT_EQ(second.broadcasts, first.broadcasts);
-  EXPECT_EQ(second.acks, first.acks);
-  EXPECT_EQ(second.wheel_pushes, first.wheel_pushes);
 }
 
 TEST(EngineAllocation, FaultedSteadyStateWithDuplicatesAllocatesNothing) {

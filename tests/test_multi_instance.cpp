@@ -11,7 +11,11 @@
 //     reference-heap engine agree on every per-instance observable of a
 //     multi-instance run (the single-instance differential is already
 //     pinned by the fuzz soak; this extends it to >= 2 instances).
+// Plus the decide notification (StopWhen::kInstanceDecided) a service
+// drives instances by: where it stops, and that both engines agree.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/commit_flood.hpp"
 #include "core/wpaxos/wpaxos.hpp"
@@ -35,6 +39,46 @@ ProcessFactory commit_flood_factory(NodeId leader, Value value) {
   return [leader, value](NodeId u) {
     return std::make_unique<core::CommitFlood>(u == leader, value);
   };
+}
+
+/// Decides at start if `decides`, then broadcasts `rounds` times: traffic
+/// that outlives the decisions, so a stop is visibly not a drain.
+class Pinger final : public Process {
+ public:
+  Pinger(bool decides, std::size_t rounds)
+      : decides_(decides), rounds_(rounds) {}
+
+  void on_start(Context& ctx) override {
+    if (decides_) ctx.decide(1);
+    on_ack(ctx);
+  }
+  void on_receive(const Packet&, Context&) override {}
+  void on_ack(Context& ctx) override {
+    if (sent_ < rounds_) {
+      ++sent_;
+      ctx.broadcast(util::Buffer{0xAB});
+    }
+  }
+  std::unique_ptr<Process> clone() const override {
+    return std::make_unique<Pinger>(*this);
+  }
+  void digest(util::Hasher& h) const override { h.mix_u64(sent_); }
+
+ private:
+  bool decides_;
+  std::size_t rounds_;
+  std::size_t sent_ = 0;
+};
+
+/// Pingers that all decide at start except `holdout` (kNoNode: all do).
+ProcessFactory holdout_factory(NodeId holdout, std::size_t rounds) {
+  return [holdout, rounds](NodeId u) {
+    return std::make_unique<Pinger>(u != holdout, rounds);
+  };
+}
+
+ProcessFactory silent_factory(std::size_t rounds) {
+  return [rounds](NodeId) { return std::make_unique<Pinger>(false, rounds); };
 }
 
 std::uint64_t process_digest(const Process& p) {
@@ -227,6 +271,140 @@ TEST(MultiInstance, MidRunInstanceLaunchesAtCurrentTickAndDecides) {
     // The late tenant's timeline starts where the run already was.
     EXPECT_GE(net.decision(u, second).time, first_decided);
   }
+}
+
+TEST(MultiInstance, DecideStopLaunchesTheNextTenantBetweenRuns) {
+  // The same launch as above, driven by decide notifications instead of a
+  // per-event hook: the run stops at the event that finishes tenant 0, and
+  // the caller launches tenant 1 before resuming. Both drivers must see
+  // the identical event sequence.
+  const std::size_t n = 6;
+  const net::Graph graph = net::make_clique(n);
+  const auto launch = [&](Network& net) {
+    return net.add_instance(commit_flood_factory(0, 123));
+  };
+
+  SynchronousScheduler hook_sched(1);
+  Network hooked(graph, wpaxos_factory(n, 5), hook_sched);
+  hooked.enable_trace_digest();
+  bool launched = false;
+  hooked.set_post_event_hook([&](Network& inner) {
+    if (!launched && inner.instance_all_decided(0)) {
+      launched = true;
+      launch(inner);
+    }
+  });
+  ASSERT_TRUE(hooked.run(StopWhen::kQuiescent, 10000).condition_met);
+  ASSERT_TRUE(launched);
+
+  SynchronousScheduler sched(1);
+  Network net(graph, wpaxos_factory(n, 5), sched);
+  net.enable_trace_digest();
+  const RunResult first = net.run(StopWhen::kInstanceDecided, 10000);
+  ASSERT_TRUE(first.condition_met);
+  ASSERT_TRUE(net.instance_all_decided(0));
+  Time last_decide = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    last_decide = std::max(last_decide, net.decision(u, 0).time);
+  }
+  EXPECT_EQ(first.end_time, last_decide);  // stopped at the deciding event
+  const InstanceId second = launch(net);
+  const RunResult next = net.run(StopWhen::kInstanceDecided, 10000);
+  ASSERT_TRUE(next.condition_met);
+  ASSERT_TRUE(net.instance_all_decided(second));
+  ASSERT_TRUE(net.run(StopWhen::kQuiescent, 10000).condition_met);
+
+  EXPECT_EQ(net.trace_digest(), hooked.trace_digest());
+  for (NodeId u = 0; u < n; ++u) {
+    EXPECT_EQ(net.decision(u, second).value, 123);
+    EXPECT_EQ(net.decision(u, second).time, hooked.decision(u, 1).time);
+  }
+}
+
+TEST(MultiInstance, CrashThatFinishesInstancesStopsTheRun) {
+  // Every node but 3 decides at start; crashing node 3 at tick 5 is what
+  // finishes both tenants, in one event. The run stops right there, with
+  // the pingers' traffic still queued.
+  const std::size_t n = 4;
+  const net::Graph graph = net::make_clique(n);
+  SynchronousScheduler sched(2);
+  Network net(graph, holdout_factory(3, 20), sched);
+  const InstanceId other = net.add_instance(holdout_factory(3, 20));
+  net.schedule_crash(CrashPlan{3, 5});
+
+  const RunResult r = net.run(StopWhen::kInstanceDecided, 10000);
+  EXPECT_TRUE(r.condition_met);
+  EXPECT_EQ(r.end_time, 5u);
+  EXPECT_TRUE(net.crashed(3));
+  EXPECT_TRUE(net.instance_all_decided(0));
+  EXPECT_TRUE(net.instance_all_decided(other));
+  // Nothing else decides: the next stop is the drain, far past the crash.
+  const RunResult drained = net.run(StopWhen::kInstanceDecided, 10000);
+  EXPECT_TRUE(drained.condition_met);
+  EXPECT_GT(drained.end_time, 5u);
+}
+
+TEST(MultiInstance, VacuousInstanceStopsAfterTheNextEventNotBefore) {
+  // Crash every node: instance 0 finishes with the last crash. An instance
+  // added after that has no live node, so it is decided the moment it
+  // exists — between runs. The next run still processes exactly one event
+  // before reporting it, as a per-event poll would have noticed it.
+  const std::size_t n = 3;
+  const net::Graph graph = net::make_clique(n);
+  SynchronousScheduler sched(3);
+  Network net(graph, silent_factory(5), sched);
+  for (NodeId u = 0; u < n; ++u) net.schedule_crash(CrashPlan{u, 1});
+  std::size_t events = 0;
+  net.set_post_event_hook([&](Network&) { ++events; });
+
+  const RunResult crashed = net.run(StopWhen::kInstanceDecided, 10000);
+  ASSERT_TRUE(crashed.condition_met);
+  ASSERT_EQ(crashed.end_time, 1u);
+  ASSERT_EQ(events, n);  // the three crash events; the broadcasts' remain
+
+  const InstanceId vacuous = net.add_instance(silent_factory(5));
+  EXPECT_TRUE(net.instance_all_decided(vacuous));
+  const RunResult r = net.run(StopWhen::kInstanceDecided, 10000);
+  EXPECT_TRUE(r.condition_met);
+  EXPECT_EQ(events, n + 1);
+  EXPECT_EQ(r.end_time, 3u);  // the first pending delivery, not tick 1
+}
+
+TEST(MultiInstance, EnginesAgreeOnInstanceDecidedStops) {
+  // Three pre-run tenants under random delays and a crash: both engines,
+  // driven by the same kInstanceDecided loop, stop at the same ticks and
+  // fold the same trace.
+  const std::size_t n = 6;
+  const net::Graph graph = net::make_ring(n);
+  const std::vector<ProcessFactory> tenants = {
+      wpaxos_factory(n, 11), commit_flood_factory(/*leader=*/0, 5),
+      wpaxos_factory(n, 2)};
+  const auto drive = [&](auto& net) {
+    for (std::size_t i = 1; i < tenants.size(); ++i) {
+      net.add_instance(tenants[i]);
+    }
+    net.schedule_crash(CrashPlan{4, 7});
+    net.enable_trace_digest();
+    std::vector<Time> stops;
+    while (!net.all_alive_decided() && stops.size() < 16) {
+      const RunResult r = net.run(StopWhen::kInstanceDecided, 100000);
+      EXPECT_TRUE(r.condition_met);
+      stops.push_back(r.end_time);
+    }
+    EXPECT_TRUE(net.all_alive_decided());
+    EXPECT_TRUE(net.run(StopWhen::kQuiescent, 100000).condition_met);
+    return std::make_pair(stops, net.trace_digest());
+  };
+
+  UniformRandomScheduler sched_a(4, 99);
+  Network engine(graph, tenants[0], sched_a);
+  UniformRandomScheduler sched_b(4, 99);
+  ReferenceNetwork reference(graph, tenants[0], sched_b);
+  const auto a = drive(engine);
+  const auto b = drive(reference);
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
+  EXPECT_GE(a.first.size(), 2u);  // more than one distinct decide stop
 }
 
 }  // namespace
