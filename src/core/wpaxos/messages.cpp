@@ -61,6 +61,16 @@ constexpr std::uint8_t kHasResponse = 1u << 4;
 
 util::Buffer Envelope::encode() const {
   util::Writer w;
+  encode(w);
+  return std::move(w).take();
+}
+
+Envelope Envelope::decode(const util::Buffer& buf) {
+  util::Reader r(buf);
+  return decode(r);
+}
+
+void Envelope::encode(util::Writer& w) const {
   std::uint8_t mask = 0;
   if (leader) mask |= kHasLeader;
   if (change) mask |= kHasChange;
@@ -93,11 +103,9 @@ util::Buffer Envelope::encode() const {
     response->max_committed.encode(w);
     w.put_uvarint(response->dest);
   }
-  return std::move(w).take();
 }
 
-Envelope Envelope::decode(const util::Buffer& buf) {
-  util::Reader r(buf);
+Envelope Envelope::decode(util::Reader& r) {
   Envelope e;
   const std::uint8_t mask = r.get_u8();
   if (mask & kHasLeader) e.leader = LeaderMsg{r.get_uvarint()};

@@ -117,6 +117,14 @@ struct Envelope {
 
   [[nodiscard]] util::Buffer encode() const;
   [[nodiscard]] static Envelope decode(const util::Buffer& buf);
+
+  /// Appends the encoding to `w`: the bytes encode() returns, without a
+  /// fresh Buffer, so a reused scratch Writer encodes allocation-free.
+  void encode(util::Writer& w) const;
+  /// Decodes one envelope from `r` and asserts that `r` is then exhausted
+  /// (an envelope is always a whole payload or a whole length-prefixed
+  /// view). Allocates nothing.
+  [[nodiscard]] static Envelope decode(util::Reader& r);
 };
 
 }  // namespace amac::core::wpaxos

@@ -4,19 +4,36 @@
 
 namespace amac::core::wpaxos {
 
+namespace {
+
+// Capacity a one-shot encode() reserves up front. wPAXOS envelopes are
+// typically a few tens of bytes, so each writer allocates once instead of
+// growing byte by byte; a larger envelope grows the buffer as usual.
+constexpr std::size_t kTypicalBytes = 64;
+
+}  // namespace
+
 util::Buffer WireEnvelope::encode() const {
-  util::Writer w;
-  w.put_uvarint(sender_id);
-  const util::Buffer inner = body.encode();
-  w.put_bytes(inner);
-  return std::move(w).take();
+  util::Writer out;
+  util::Writer scratch;
+  out.reserve(kTypicalBytes);
+  scratch.reserve(kTypicalBytes);
+  encode(out, scratch);
+  return std::move(out).take();
+}
+
+void WireEnvelope::encode(util::Writer& out, util::Writer& scratch) const {
+  scratch.clear();
+  body.encode(scratch);
+  out.put_uvarint(sender_id);
+  out.put_bytes(scratch.buffer());
 }
 
 WireEnvelope WireEnvelope::decode(const util::Buffer& buf) {
   util::Reader r(buf);
   WireEnvelope e;
   e.sender_id = r.get_uvarint();
-  const util::Buffer inner = r.get_bytes();
+  util::Reader inner = r.get_view();
   AMAC_ENSURES(r.exhausted());
   e.body = Envelope::decode(inner);
   return e;
@@ -362,7 +379,7 @@ void WPaxos::maybe_send(mac::Context& ctx) {
     env.body.proposer =
         ProposerMsg{ProposerMsg::Kind::kDecide, ProposalNumber::zero(),
                     decision_value_};
-    ctx.broadcast(env.encode());
+    broadcast(env, ctx);
     return;
   }
 
@@ -395,7 +412,15 @@ void WPaxos::maybe_send(mac::Context& ctx) {
   }
 
   if (env.body.empty()) return;
-  ctx.broadcast(env.encode());
+  broadcast(env, ctx);
+}
+
+void WPaxos::broadcast(const WireEnvelope& env, mac::Context& ctx) {
+  // The engine copies the bytes into its payload pool (process.hpp), so the
+  // scratch writers are free to be reused by the next send.
+  out_.clear();
+  env.encode(out_, body_scratch_);
+  ctx.broadcast(out_.buffer());
 }
 
 // ------------------------------------------------------------- observables

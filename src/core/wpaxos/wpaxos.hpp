@@ -37,6 +37,8 @@
 
 namespace amac::core::wpaxos {
 
+struct WireEnvelope;
+
 /// Feature switches. Defaults reproduce the paper's algorithm; turning a
 /// switch off reproduces the strawman that motivates the corresponding
 /// design choice (bench_ablations).
@@ -152,6 +154,7 @@ class WPaxos final : public mac::Process {
 
   // -- broadcast service (Algorithm 5) --
   void maybe_send(mac::Context& ctx);
+  void broadcast(const WireEnvelope& env, mac::Context& ctx);
 
   [[nodiscard]] static std::uint8_t rank(ProposerMsg::Kind k) {
     return static_cast<std::uint8_t>(k);
@@ -209,6 +212,11 @@ class WPaxos final : public mac::Process {
   bool decide_relay_pending_ = false;
 
   WPaxosNodeStats stats_;
+
+  // Scratch writers for maybe_send: after the first few sends have grown
+  // their capacity, encoding a broadcast allocates nothing.
+  util::Writer out_;
+  util::Writer body_scratch_;
 };
 
 /// Envelope extension: every wPAXOS broadcast also carries the sender's
@@ -219,7 +227,13 @@ struct WireEnvelope {
   Envelope body;
 
   [[nodiscard]] util::Buffer encode() const;
+  /// Decodes without copying: the body is read through a view of `buf`.
   [[nodiscard]] static WireEnvelope decode(const util::Buffer& buf);
+
+  /// Appends the bytes encode() returns to `out`, building the inner
+  /// envelope in `scratch` (cleared first). With warmed writers this
+  /// allocates nothing.
+  void encode(util::Writer& out, util::Writer& scratch) const;
 };
 
 }  // namespace amac::core::wpaxos

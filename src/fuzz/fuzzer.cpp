@@ -339,17 +339,27 @@ bool CoverageCorpus::observe(const CoverageSignature& sig) {
 }
 
 void CoverageCorpus::admit(const Scenario& s, std::uint64_t sig_key) {
+  // find, not operator[]: a pre-seed must not add a key to hits_.
+  const auto it = hits_.find(sig_key);
+  Entry entry{s, sig_key, it == hits_.end() ? nullptr : &it->second};
   if (entries_.size() < max_entries_) {
-    entries_.push_back(Entry{s, sig_key});
+    entries_.push_back(std::move(entry));
     return;
   }
-  entries_[next_replace_] = Entry{s, sig_key};
+  entries_[next_replace_] = std::move(entry);
   next_replace_ = (next_replace_ + 1) % max_entries_;
 }
 
 std::uint64_t CoverageCorpus::hits(std::uint64_t sig_key) const {
   const auto it = hits_.find(sig_key);
   return it == hits_.end() ? 0 : it->second;
+}
+
+double CoverageCorpus::weight(const Entry& e) const {
+  // An entry admitted before its key had a counter (only a pre-seed) looks
+  // the key up on every draw, in case a run has observed it since.
+  const std::uint64_t h = e.hits != nullptr ? *e.hits : hits(e.sig_key);
+  return 1.0 / static_cast<double>(std::max<std::uint64_t>(h, 1));
 }
 
 const Scenario& CoverageCorpus::select_base(util::Rng& rng) const {
@@ -362,14 +372,10 @@ const Scenario& CoverageCorpus::select_base(util::Rng& rng) const {
   // the persisted frontier. One rng draw either way, so a mutating soak
   // stays exactly reproducible from its seed base.
   double total = 0.0;
-  for (const auto& e : entries_) {
-    total += 1.0 / static_cast<double>(std::max<std::uint64_t>(
-                       hits(e.sig_key), 1));
-  }
+  for (const auto& e : entries_) total += weight(e);
   double draw = rng.uniform01() * total;
   for (const auto& e : entries_) {
-    draw -= 1.0 / static_cast<double>(std::max<std::uint64_t>(
-                      hits(e.sig_key), 1));
+    draw -= weight(e);
     if (draw < 0.0) return e.scenario;
   }
   return entries_.back().scenario;  // floating-point edge: last entry

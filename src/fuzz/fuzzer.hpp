@@ -424,6 +424,12 @@ class CoverageCorpus {
  public:
   explicit CoverageCorpus(std::size_t max_entries = 256)
       : max_entries_(max_entries == 0 ? 1 : max_entries) {}
+  // Entries point into hits_: a move keeps the map's nodes, a copy would
+  // leave them pointing into the source.
+  CoverageCorpus(const CoverageCorpus&) = delete;
+  CoverageCorpus& operator=(const CoverageCorpus&) = delete;
+  CoverageCorpus(CoverageCorpus&&) = default;
+  CoverageCorpus& operator=(CoverageCorpus&&) = default;
 
   /// Records `sig` (incrementing its hit count); true iff its key was
   /// never seen before.
@@ -461,7 +467,13 @@ class CoverageCorpus {
   struct Entry {
     Scenario scenario;
     std::uint64_t sig_key = 0;
+    /// hits_[sig_key], looked up once at admission (map nodes are stable);
+    /// null while the key has no counter, e.g. a pre-seed's key 0.
+    const std::uint64_t* hits = nullptr;
   };
+
+  /// Rarity weight of `e`: 1 / (its signature's hit count, at least 1).
+  [[nodiscard]] double weight(const Entry& e) const;
 
   std::size_t max_entries_;
   std::size_t next_replace_ = 0;

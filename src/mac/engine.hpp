@@ -356,7 +356,10 @@ class Network {
   /// payload), across all instances (instance 0 first per sender). Used by
   /// the Lemma 4.2 response-count conservation monitor, whose invariant
   /// Q(p, s) sums over exactly these messages. Cost is O(active flights),
-  /// not O(every flight in the simulation).
+  /// not O(every flight in the simulation). One flight's copies are
+  /// visited consecutively, all with the same payload reference (its pool
+  /// slot), so a visitor can decode each flight once by remembering the
+  /// last payload address.
   void for_each_in_flight(
       const std::function<void(NodeId, NodeId, const util::Buffer&)>& fn)
       const;

@@ -35,8 +35,8 @@ std::uint64_t Reader::get_uvarint() {
   std::uint64_t v = 0;
   int shift = 0;
   for (;;) {
-    AMAC_ASSERT(pos_ < buf_->size());
-    const std::uint8_t byte = (*buf_)[pos_++];
+    AMAC_ASSERT(pos_ < size_);
+    const std::uint8_t byte = data_[pos_++];
     AMAC_ASSERT(shift < 64);
     v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return v;
@@ -50,28 +50,37 @@ std::int64_t Reader::get_svarint() {
 }
 
 std::uint8_t Reader::get_u8() {
-  AMAC_ASSERT(pos_ < buf_->size());
-  return (*buf_)[pos_++];
+  AMAC_ASSERT(pos_ < size_);
+  return data_[pos_++];
 }
 
 bool Reader::get_bool() { return get_u8() != 0; }
 
-Buffer Reader::get_bytes() {
+std::size_t Reader::get_length() {
   const std::size_t len = get_uvarint();
-  AMAC_ASSERT(pos_ + len <= buf_->size());
-  Buffer out(buf_->begin() + static_cast<std::ptrdiff_t>(pos_),
-             buf_->begin() + static_cast<std::ptrdiff_t>(pos_ + len));
+  AMAC_ASSERT(len <= remaining());
+  return len;
+}
+
+Buffer Reader::get_bytes() {
+  const std::size_t len = get_length();
+  Buffer out(data_ + pos_, data_ + pos_ + len);
   pos_ += len;
   return out;
 }
 
 std::string Reader::get_string() {
-  const std::size_t len = get_uvarint();
-  AMAC_ASSERT(pos_ + len <= buf_->size());
-  std::string out(buf_->begin() + static_cast<std::ptrdiff_t>(pos_),
-                  buf_->begin() + static_cast<std::ptrdiff_t>(pos_ + len));
+  const std::size_t len = get_length();
+  std::string out(data_ + pos_, data_ + pos_ + len);
   pos_ += len;
   return out;
+}
+
+Reader Reader::get_view() {
+  const std::size_t len = get_length();
+  const Reader view(data_ + pos_, len);
+  pos_ += len;
+  return view;
 }
 
 }  // namespace amac::util

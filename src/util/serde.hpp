@@ -26,10 +26,18 @@ namespace amac::util {
 /// Wire representation of a message payload.
 using Buffer = std::vector<std::uint8_t>;
 
-/// Serializes values into a Buffer. Append-only.
+/// Serializes values into a Buffer. Append-only between clear()s.
 class Writer {
  public:
   Writer() = default;
+
+  /// Empties the buffer but keeps its capacity, so a Writer kept as a
+  /// scratch member re-encodes without allocating once it has grown.
+  void clear() { buf_.clear(); }
+
+  /// Grows the capacity to at least `bytes` up front, so a fresh Writer
+  /// that knows its likely size allocates once instead of growing.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   /// Unsigned varint (LEB128). 1 byte for values < 128.
   void put_uvarint(std::uint64_t v);
@@ -57,11 +65,15 @@ class Writer {
   Buffer buf_;
 };
 
-/// Deserializes values from a Buffer. Throws nothing; malformed input is a
-/// programming error in this closed system, so it trips an assertion.
+/// Deserializes values from a byte range. Throws nothing; malformed input
+/// is a programming error in this closed system, so it trips an assertion.
+///
+/// A Reader never owns its bytes: it reads over a (pointer, size) pair. A
+/// Reader, and every view get_view() returns, lives only as long as the
+/// bytes it reads — never keep one past the Buffer it was made from.
 class Reader {
  public:
-  explicit Reader(const Buffer& buf) : buf_(&buf) {}
+  explicit Reader(const Buffer& buf) : Reader(buf.data(), buf.size()) {}
 
   [[nodiscard]] std::uint64_t get_uvarint();
   [[nodiscard]] std::int64_t get_svarint();
@@ -70,12 +82,24 @@ class Reader {
   [[nodiscard]] Buffer get_bytes();
   [[nodiscard]] std::string get_string();
 
+  /// Reads a length-prefixed byte string (the put_bytes format) as a
+  /// sub-reader over the same bytes instead of a copy. Same bounds
+  /// assertions as get_bytes.
+  [[nodiscard]] Reader get_view();
+
   /// True when every byte has been consumed.
-  [[nodiscard]] bool exhausted() const { return pos_ == buf_->size(); }
-  [[nodiscard]] std::size_t remaining() const { return buf_->size() - pos_; }
+  [[nodiscard]] bool exhausted() const { return pos_ == size_; }
+  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
  private:
-  const Buffer* buf_;
+  Reader(const std::uint8_t* data, std::size_t size)
+      : data_(data), size_(size) {}
+
+  /// Consumes a length prefix and asserts that many bytes remain.
+  [[nodiscard]] std::size_t get_length();
+
+  const std::uint8_t* data_;
+  std::size_t size_;
   std::size_t pos_ = 0;
 };
 

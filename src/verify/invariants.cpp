@@ -1,5 +1,6 @@
 #include "verify/invariants.hpp"
 
+#include <optional>
 #include <sstream>
 
 namespace amac::verify {
@@ -18,48 +19,53 @@ void ResponseConservationMonitor::check(mac::Network& net) {
   const std::size_t n = net.node_count();
   AMAC_EXPECTS(index_to_id_.size() == n);
 
-  // For every node with an active proposition, verify conservation.
-  for (NodeId pu = 0; pu < n; ++pu) {
-    const auto* proposer = dynamic_cast<const WPaxos*>(&net.process(pu));
-    AMAC_EXPECTS(proposer != nullptr);
-    const auto snap = proposer->proposer_snapshot();
-    if (!snap.active) continue;
+  // Every node with an active proposition, in node-index order.
+  active_.clear();
+  for (NodeId u = 0; u < n; ++u) {
+    const auto* node = dynamic_cast<const WPaxos*>(&net.process(u));
+    AMAC_EXPECTS(node != nullptr);
+    const auto snap = node->proposer_snapshot();
+    if (snap.active) active_.push_back(Tally{.proposer = u, .snap = snap});
+  }
+  if (active_.empty()) return;
 
-    const auto matches = [&](const AcceptorResponse& r) {
-      return r.positive && r.pn == snap.pn && r.stage == snap.stage;
-    };
-
-    std::uint64_t queued = 0;
-    std::uint64_t responded = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      const auto* node = dynamic_cast<const WPaxos*>(&net.process(u));
-      for (const auto& r : node->response_queue()) {
-        if (matches(r)) queued += r.count;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto& node = static_cast<const WPaxos&>(net.process(u));
+    for (Tally& t : active_) {
+      for (const auto& r : node.response_queue()) {
+        if (t.matches(r)) t.queued += r.count;
       }
-      if (node->responded_positive(snap.pn, snap.stage)) ++responded;
+      if (node.responded_positive(t.snap.pn, t.snap.stage)) ++t.responded;
     }
+  }
 
-    std::uint64_t in_flight = 0;
-    net.for_each_in_flight([&](NodeId /*sender*/, NodeId receiver,
-                               const util::Buffer& payload) {
-      const WireEnvelope env = WireEnvelope::decode(payload);
-      if (!env.body.response) return;
-      const AcceptorResponse& r = *env.body.response;
-      // Only the addressed next hop will consume the response; copies to
-      // other neighbors are ignored on receipt.
-      if (matches(r) && index_to_id_[receiver] == r.dest) {
-        in_flight += r.count;
-      }
-    });
+  // Both engines visit one flight's copies consecutively, so remembering
+  // the last payload decodes each flight once.
+  const util::Buffer* decoded = nullptr;
+  std::optional<AcceptorResponse> response;
+  net.for_each_in_flight([&](NodeId /*sender*/, NodeId receiver,
+                             const util::Buffer& payload) {
+    if (&payload != decoded) {
+      decoded = &payload;
+      response = WireEnvelope::decode(payload).body.response;
+    }
+    // Only the addressed next hop will consume the response; copies to
+    // other neighbors are ignored on receipt.
+    if (!response || index_to_id_[receiver] != response->dest) return;
+    for (Tally& t : active_) {
+      if (t.matches(*response)) t.in_flight += response->count;
+    }
+  });
 
-    if (snap.yes + queued + in_flight > responded) {
+  for (const Tally& t : active_) {
+    if (t.snap.yes + t.queued + t.in_flight > t.responded) {
       violated_ = true;
       std::ostringstream os;
       os << "Lemma 4.2 violation at t=" << net.now() << ": proposer id "
-         << index_to_id_[pu] << " pn=(" << snap.pn.tag << "," << snap.pn.id
-         << ") stage=" << static_cast<int>(snap.stage)
-         << ": c=" << snap.yes << " + queued=" << queued
-         << " + in_flight=" << in_flight << " > responded=" << responded;
+         << index_to_id_[t.proposer] << " pn=(" << t.snap.pn.tag << ","
+         << t.snap.pn.id << ") stage=" << static_cast<int>(t.snap.stage)
+         << ": c=" << t.snap.yes << " + queued=" << t.queued
+         << " + in_flight=" << t.in_flight << " > responded=" << t.responded;
       report_ = os.str();
       return;
     }

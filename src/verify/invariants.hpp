@@ -41,7 +41,14 @@ class ResponseConservationMonitor {
   explicit ResponseConservationMonitor(std::vector<std::uint64_t> index_to_id);
 
   /// Checks the invariant for every currently active proposition. Call from
-  /// Network::set_post_event_hook.
+  /// Network::set_post_event_hook. On a violation, reports the first
+  /// violating proposer in node-index order.
+  ///
+  /// Cost per check, with P active propositions: one pass over the nodes
+  /// (P response-log lookups and a P-way match per queued response at each
+  /// node) and one for_each_in_flight pass that decodes each in-flight
+  /// payload once — the engines visit one flight's copies consecutively —
+  /// and matches each addressed copy against the P propositions.
   void check(mac::Network& net);
 
   [[nodiscard]] bool violated() const { return violated_; }
@@ -49,7 +56,21 @@ class ResponseConservationMonitor {
   [[nodiscard]] std::uint64_t checks_performed() const { return checks_; }
 
  private:
+  /// One active proposition and its Lemma 4.2 terms in the current check.
+  struct Tally {
+    NodeId proposer = 0;
+    core::wpaxos::WPaxos::ProposerSnapshot snap;
+    std::uint64_t queued = 0;
+    std::uint64_t in_flight = 0;
+    std::uint64_t responded = 0;
+
+    [[nodiscard]] bool matches(const core::wpaxos::AcceptorResponse& r) const {
+      return r.positive && r.pn == snap.pn && r.stage == snap.stage;
+    }
+  };
+
   std::vector<std::uint64_t> index_to_id_;
+  std::vector<Tally> active_;  ///< per-check scratch, capacity reused
   bool violated_ = false;
   std::string report_;
   std::uint64_t checks_ = 0;

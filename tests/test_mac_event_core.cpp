@@ -9,7 +9,9 @@
 //   * Determinism: same seed => bit-identical digests run-to-run.
 //   * Payload pool reuse and lifetime.
 //   * Zero heap allocations in the steady-state broadcast->deliver->ack
-//     cycle (global operator new instrumented in this binary).
+//     cycle (global operator new instrumented in this binary), and on the
+//     wPAXOS wire path: decoding a frame and a warmed node's
+//     receive -> respond -> encode -> broadcast.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -18,6 +20,7 @@
 #include <queue>
 #include <type_traits>
 
+#include "core/wpaxos/wpaxos.hpp"
 #include "helpers.hpp"
 #include "mac/calendar_queue.hpp"
 #include "mac/engine.hpp"
@@ -591,6 +594,107 @@ TEST(EngineAllocation, FaultedSteadyStateWithDuplicatesAllocatesNothing) {
       << "faulted (duplicate-heavy) steady state allocated";
   EXPECT_GT(net.stats().duplicates, 1000u);  // the dup path really ran
   EXPECT_GT(net.stats().drops, 100u);        // and the drop path too
+}
+
+// --- zero-allocation wPAXOS wire path -----------------------------------
+
+/// A wPAXOS frame from `sender` carrying a leader claim, its search flood
+/// and a prepare for (tag, sender).
+util::Buffer prepare_frame(std::uint64_t sender, std::uint64_t tag) {
+  using namespace core::wpaxos;
+  WireEnvelope wire;
+  wire.sender_id = sender;
+  wire.body.leader = LeaderMsg{sender};
+  wire.body.search = SearchMsg{sender, 1};
+  wire.body.proposer =
+      ProposerMsg{ProposerMsg::Kind::kPrepare, ProposalNumber{tag, sender}, 0};
+  return wire.encode();
+}
+
+TEST(WireAllocation, DecodingAResponseFrameAllocatesNothing) {
+  using namespace core::wpaxos;
+  WireEnvelope wire;
+  wire.sender_id = 300;  // two-byte varint
+  wire.body.proposer =
+      ProposerMsg{ProposerMsg::Kind::kPropose, ProposalNumber{7, 300}, 1};
+  AcceptorResponse r;
+  r.pn = ProposalNumber{7, 300};
+  r.count = 5;
+  r.prev = Proposal{ProposalNumber{6, 2}, 1};
+  r.dest = 300;
+  wire.body.response = r;
+  const util::Buffer frame = wire.encode();
+
+  const std::uint64_t before = g_alloc_count;
+  const WireEnvelope back = WireEnvelope::decode(frame);
+  const std::uint64_t after = g_alloc_count;
+  EXPECT_EQ(after - before, 0u) << "WireEnvelope::decode allocated";
+  ASSERT_TRUE(back.body.response.has_value());
+  EXPECT_EQ(back.body.response->count, 5u);
+  EXPECT_EQ(back.body.response->prev, r.prev);
+}
+
+/// Keeps only the last broadcast, in reused storage: a Context that never
+/// allocates once its buffer has grown.
+class LastFrameContext final : public Context {
+ public:
+  void broadcast(const util::Buffer& payload) override {
+    last.assign(payload.begin(), payload.end());
+    busy_ = true;
+    ++sends;
+  }
+  void decide(Value) override {}
+  [[nodiscard]] bool busy() const override { return busy_; }
+  [[nodiscard]] Time now() const override { return 0; }
+  void acked() { busy_ = false; }
+
+  util::Buffer last;
+  std::uint64_t sends = 0;
+
+ private:
+  bool busy_ = false;
+};
+
+TEST(WireAllocation, WarmedWPaxosReceiveAndEncodeAllocateNothing) {
+  // A node that has adopted leader 9 and its tree answers each of the
+  // leader's prepares with a relay plus a positive response: decode,
+  // respond, encode and broadcast. Once the node's scratch writers and
+  // response queue have grown, that whole path allocates nothing.
+  using namespace core::wpaxos;
+  constexpr std::uint64_t kLeader = 9;
+  constexpr std::uint64_t kFrames = 64;
+  std::vector<util::Buffer> frames;
+  for (std::uint64_t tag = 1; tag <= kFrames; ++tag) {
+    frames.push_back(prepare_frame(kLeader, tag));
+  }
+  WPaxos node(1, 8, 0);
+  LastFrameContext ctx;
+  node.on_start(ctx);
+  constexpr std::uint64_t kWarm = 4;
+  for (std::uint64_t i = 0; i < kWarm; ++i) {
+    ctx.acked();
+    node.on_receive(Packet{0, frames[i]}, ctx);
+  }
+
+  const std::uint64_t sends_before = ctx.sends;
+  const std::uint64_t before = g_alloc_count;
+  for (std::uint64_t i = kWarm; i < kFrames; ++i) {
+    ctx.acked();
+    node.on_receive(Packet{0, frames[i]}, ctx);
+  }
+  const std::uint64_t after = g_alloc_count;
+  EXPECT_EQ(after - before, 0u) << "warmed wPAXOS wire path allocated";
+  EXPECT_EQ(ctx.sends - sends_before, kFrames - kWarm);
+
+  // The last send answered the last prepare, addressed to the leader.
+  const WireEnvelope sent = WireEnvelope::decode(ctx.last);
+  EXPECT_EQ(sent.sender_id, 1u);
+  ASSERT_TRUE(sent.body.proposer.has_value());
+  EXPECT_EQ(sent.body.proposer->pn, (ProposalNumber{kFrames, kLeader}));
+  ASSERT_TRUE(sent.body.response.has_value());
+  EXPECT_TRUE(sent.body.response->positive);
+  EXPECT_EQ(sent.body.response->pn, (ProposalNumber{kFrames, kLeader}));
+  EXPECT_EQ(sent.body.response->dest, kLeader);
 }
 
 }  // namespace

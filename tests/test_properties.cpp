@@ -72,37 +72,79 @@ TEST(Properties, SerdeFuzzRoundTrip) {
   }
 }
 
+/// A random envelope: each component present with probability 1/2, ids and
+/// counts drawn over the full range so every varint width is exercised.
+core::wpaxos::Envelope random_envelope(util::Rng& rng) {
+  using namespace core::wpaxos;
+  Envelope e;
+  if (rng.chance(0.5)) e.leader = LeaderMsg{rng()};
+  if (rng.chance(0.5)) e.change = ChangeMsg{rng(), rng()};
+  if (rng.chance(0.5)) {
+    e.search = SearchMsg{rng(), static_cast<std::uint32_t>(
+                                    rng.uniform(0, 1u << 20))};
+  }
+  if (rng.chance(0.5)) {
+    e.proposer = ProposerMsg{
+        static_cast<ProposerMsg::Kind>(rng.uniform(0, 2)),
+        {rng(), rng()},
+        static_cast<mac::Value>(rng.uniform(0, 1u << 30))};
+  }
+  if (rng.chance(0.5)) {
+    AcceptorResponse r;
+    r.stage = static_cast<AcceptorResponse::Stage>(rng.uniform(0, 1));
+    r.pn = {rng(), rng()};
+    r.positive = rng.chance(0.5);
+    r.count = rng.uniform(1, 1 << 20);
+    if (rng.chance(0.5)) {
+      r.prev = Proposal{{rng(), rng()},
+                        static_cast<mac::Value>(rng.uniform(0, 1 << 30))};
+    }
+    r.max_committed = {rng(), rng()};
+    r.dest = rng();
+    e.response = r;
+  }
+  return e;
+}
+
+/// Field-by-field equality of two decoded envelopes.
+void expect_same_envelope(const core::wpaxos::Envelope& a,
+                          const core::wpaxos::Envelope& b) {
+  ASSERT_EQ(a.leader.has_value(), b.leader.has_value());
+  ASSERT_EQ(a.change.has_value(), b.change.has_value());
+  ASSERT_EQ(a.search.has_value(), b.search.has_value());
+  ASSERT_EQ(a.proposer.has_value(), b.proposer.has_value());
+  ASSERT_EQ(a.response.has_value(), b.response.has_value());
+  if (a.leader) {
+    EXPECT_EQ(a.leader->leader_id, b.leader->leader_id);
+  }
+  if (a.change) {
+    EXPECT_EQ(a.change->key(), b.change->key());
+  }
+  if (a.search) {
+    EXPECT_EQ(a.search->root, b.search->root);
+    EXPECT_EQ(a.search->hops, b.search->hops);
+  }
+  if (a.proposer) {
+    EXPECT_EQ(a.proposer->kind, b.proposer->kind);
+    EXPECT_EQ(a.proposer->pn, b.proposer->pn);
+    EXPECT_EQ(a.proposer->value, b.proposer->value);
+  }
+  if (a.response) {
+    EXPECT_EQ(a.response->stage, b.response->stage);
+    EXPECT_EQ(a.response->pn, b.response->pn);
+    EXPECT_EQ(a.response->positive, b.response->positive);
+    EXPECT_EQ(a.response->count, b.response->count);
+    EXPECT_EQ(a.response->prev, b.response->prev);
+    EXPECT_EQ(a.response->max_committed, b.response->max_committed);
+    EXPECT_EQ(a.response->dest, b.response->dest);
+  }
+}
+
 TEST(Properties, EnvelopeFuzzRoundTrip) {
   using namespace core::wpaxos;
   util::Rng rng(777);
   for (int trial = 0; trial < 300; ++trial) {
-    Envelope e;
-    if (rng.chance(0.5)) e.leader = LeaderMsg{rng()};
-    if (rng.chance(0.5)) e.change = ChangeMsg{rng(), rng()};
-    if (rng.chance(0.5)) {
-      e.search = SearchMsg{rng(), static_cast<std::uint32_t>(
-                                      rng.uniform(0, 1u << 20))};
-    }
-    if (rng.chance(0.5)) {
-      e.proposer = ProposerMsg{
-          static_cast<ProposerMsg::Kind>(rng.uniform(0, 2)),
-          {rng(), rng()},
-          static_cast<mac::Value>(rng.uniform(0, 1u << 30))};
-    }
-    if (rng.chance(0.5)) {
-      AcceptorResponse r;
-      r.stage = static_cast<AcceptorResponse::Stage>(rng.uniform(0, 1));
-      r.pn = {rng(), rng()};
-      r.positive = rng.chance(0.5);
-      r.count = rng.uniform(1, 1 << 20);
-      if (rng.chance(0.5)) {
-        r.prev = Proposal{{rng(), rng()},
-                          static_cast<mac::Value>(rng.uniform(0, 1 << 30))};
-      }
-      r.max_committed = {rng(), rng()};
-      r.dest = rng();
-      e.response = r;
-    }
+    const Envelope e = random_envelope(rng);
     const auto back = Envelope::decode(e.encode());
     EXPECT_EQ(back.leader.has_value(), e.leader.has_value());
     EXPECT_EQ(back.change.has_value(), e.change.has_value());
@@ -127,6 +169,38 @@ TEST(Properties, EnvelopeFuzzRoundTrip) {
       EXPECT_EQ(back.response->max_committed, e.response->max_committed);
       EXPECT_EQ(back.response->dest, e.response->dest);
     }
+  }
+}
+
+TEST(Properties, ScratchEncodeAndViewDecodeMatchTheCopyingCodec) {
+  // The allocation-free wire path must be the same codec: encoding into
+  // reused scratch writers yields exactly encode()'s bytes, and decoding
+  // through a view yields what decoding a copied inner buffer does.
+  using namespace core::wpaxos;
+  util::Rng rng(1402);
+  util::Writer body;
+  util::Writer out;
+  util::Writer scratch;
+  for (int trial = 0; trial < 500; ++trial) {
+    const WireEnvelope wire{rng(), random_envelope(rng)};
+
+    body.clear();
+    wire.body.encode(body);
+    EXPECT_EQ(body.buffer(), wire.body.encode());
+    out.clear();
+    wire.encode(out, scratch);
+    const util::Buffer bytes = wire.encode();
+    ASSERT_EQ(out.buffer(), bytes);
+
+    util::Reader r(bytes);
+    const std::uint64_t sender = r.get_uvarint();
+    const util::Buffer inner = r.get_bytes();
+    ASSERT_TRUE(r.exhausted());
+    const Envelope copied = Envelope::decode(inner);
+    const WireEnvelope viewed = WireEnvelope::decode(bytes);
+    EXPECT_EQ(viewed.sender_id, sender);
+    expect_same_envelope(viewed.body, copied);
+    expect_same_envelope(viewed.body, wire.body);
   }
 }
 

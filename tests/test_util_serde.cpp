@@ -110,6 +110,62 @@ TEST(Serde, RemainingTracksPosition) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
+TEST(Serde, ViewReadsLengthPrefixedBytesInPlace) {
+  Writer w;
+  w.put_bytes(Buffer{0x05, 0x81, 0x01});
+  w.put_bytes(Buffer{});
+  w.put_u8(9);
+  Reader r(w.buffer());
+  EXPECT_EQ(r.remaining(), 6u);
+
+  Reader view = r.get_view();
+  EXPECT_EQ(view.remaining(), 3u);
+  EXPECT_EQ(r.remaining(), 2u);  // the parent skipped prefix and bytes
+  EXPECT_EQ(view.get_u8(), 5u);
+  EXPECT_EQ(view.get_uvarint(), 129u);
+  EXPECT_EQ(view.remaining(), 0u);
+  EXPECT_TRUE(view.exhausted());
+
+  Reader empty = r.get_view();
+  EXPECT_TRUE(empty.exhausted());
+  EXPECT_EQ(empty.remaining(), 0u);
+  EXPECT_EQ(r.get_u8(), 9u);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(SerdeDeathTest, ViewLengthPastTheEndAsserts) {
+  // Same bounds assertion as get_bytes: a prefix longer than the bytes
+  // that remain is malformed input.
+  const Buffer truncated{3, 0xAA, 0xBB};
+  EXPECT_DEATH(
+      {
+        Reader r(truncated);
+        (void)r.get_view();
+      },
+      "len <= remaining");
+  EXPECT_DEATH(
+      {
+        Reader r(truncated);
+        (void)r.get_bytes();
+      },
+      "len <= remaining");
+}
+
+TEST(SerdeDeathTest, ViewNeverReadsPastItsOwnEnd) {
+  // The bytes after a view belong to its parent, not to the view.
+  Writer w;
+  w.put_bytes(Buffer{7});
+  w.put_u8(8);
+  EXPECT_DEATH(
+      {
+        Reader r(w.buffer());
+        Reader view = r.get_view();
+        (void)view.get_u8();
+        (void)view.get_u8();
+      },
+      "pos_ < size_");
+}
+
 TEST(Serde, TakeMovesBuffer) {
   Writer w;
   w.put_uvarint(42);

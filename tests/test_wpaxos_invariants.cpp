@@ -1,6 +1,8 @@
 // Lemma-level invariants of wPAXOS, monitored at every simulation event.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "harness/experiment.hpp"
 #include "net/topologies.hpp"
 #include "verify/invariants.hpp"
@@ -8,8 +10,86 @@
 namespace amac::verify {
 namespace {
 
-void run_with_monitor(const net::Graph& g, std::uint64_t seed,
-                      core::wpaxos::WPaxosConfig cfg = {}) {
+using core::wpaxos::AcceptorResponse;
+using core::wpaxos::WireEnvelope;
+using core::wpaxos::WPaxos;
+
+/// The monitor's original per-proposer check, kept here as the reference
+/// the one-pass ResponseConservationMonitor must agree with: for each
+/// active proposer in index order it rescans every queue and decodes every
+/// in-flight copy again.
+class PerProposerMonitor {
+ public:
+  explicit PerProposerMonitor(std::vector<std::uint64_t> index_to_id)
+      : index_to_id_(std::move(index_to_id)) {}
+
+  void check(mac::Network& net) {
+    if (violated_) return;
+    ++checks_;
+    const std::size_t n = net.node_count();
+    for (NodeId pu = 0; pu < n; ++pu) {
+      const auto* proposer = dynamic_cast<const WPaxos*>(&net.process(pu));
+      const auto snap = proposer->proposer_snapshot();
+      if (!snap.active) continue;
+      const auto matches = [&](const AcceptorResponse& r) {
+        return r.positive && r.pn == snap.pn && r.stage == snap.stage;
+      };
+      std::uint64_t queued = 0;
+      std::uint64_t responded = 0;
+      for (NodeId u = 0; u < n; ++u) {
+        const auto* node = dynamic_cast<const WPaxos*>(&net.process(u));
+        for (const auto& r : node->response_queue()) {
+          if (matches(r)) queued += r.count;
+        }
+        if (node->responded_positive(snap.pn, snap.stage)) ++responded;
+      }
+      std::uint64_t in_flight = 0;
+      net.for_each_in_flight([&](NodeId, NodeId receiver,
+                                 const util::Buffer& payload) {
+        const WireEnvelope env = WireEnvelope::decode(payload);
+        if (!env.body.response) return;
+        const AcceptorResponse& r = *env.body.response;
+        if (matches(r) && index_to_id_[receiver] == r.dest) {
+          in_flight += r.count;
+        }
+      });
+      if (snap.yes + queued + in_flight > responded) {
+        violated_ = true;
+        std::ostringstream os;
+        os << "Lemma 4.2 violation at t=" << net.now() << ": proposer id "
+           << index_to_id_[pu] << " pn=(" << snap.pn.tag << "," << snap.pn.id
+           << ") stage=" << static_cast<int>(snap.stage) << ": c=" << snap.yes
+           << " + queued=" << queued << " + in_flight=" << in_flight
+           << " > responded=" << responded;
+        report_ = os.str();
+        return;
+      }
+    }
+  }
+
+  [[nodiscard]] bool violated() const { return violated_; }
+  [[nodiscard]] const std::string& report() const { return report_; }
+  [[nodiscard]] std::uint64_t checks_performed() const { return checks_; }
+
+ private:
+  std::vector<std::uint64_t> index_to_id_;
+  bool violated_ = false;
+  std::string report_;
+  std::uint64_t checks_ = 0;
+};
+
+struct MonitoredRun {
+  ResponseConservationMonitor monitor;
+  bool condition_met = false;
+  ConsensusVerdict verdict;
+};
+
+/// Runs wPAXOS on `g` with the monitor and the per-proposer reference both
+/// checking after every event. Expects the two to agree on violated(),
+/// report() and checks_performed() after every event.
+MonitoredRun run_both_monitors(const net::Graph& g, std::uint64_t seed,
+                               core::wpaxos::WPaxosConfig cfg,
+                               const mac::LinkFaultPlan& faults = {}) {
   const std::size_t n = g.node_count();
   util::Rng rng(seed);
   const auto inputs = harness::inputs_random(n, rng);
@@ -18,16 +98,37 @@ void run_with_monitor(const net::Graph& g, std::uint64_t seed,
 
   mac::UniformRandomScheduler sched(3, rng());
   mac::Network net(g, harness::wpaxos_factory(inputs, ids, cfg), sched);
+  net.set_link_faults(faults);
   ResponseConservationMonitor monitor(ids);
-  net.set_post_event_hook(
-      [&monitor](mac::Network& network) { monitor.check(network); });
+  PerProposerMonitor reference(ids);
+  std::uint64_t events = 0;
+  std::uint64_t disagreements = 0;
+  net.set_post_event_hook([&](mac::Network& network) {
+    monitor.check(network);
+    reference.check(network);
+    ++events;
+    if (monitor.violated() != reference.violated() ||
+        monitor.report() != reference.report() ||
+        monitor.checks_performed() != reference.checks_performed()) {
+      ++disagreements;
+    }
+  });
   const auto result = net.run(mac::StopWhen::kAllDecided, 1'000'000);
+  EXPECT_EQ(disagreements, 0u) << "over " << events << " events";
+  // A violated monitor stops checking; until then it checks every event.
+  if (!monitor.violated()) {
+    EXPECT_EQ(monitor.checks_performed(), events);
+  }
+  return {monitor, result.condition_met, check_consensus(net, inputs)};
+}
 
-  ASSERT_TRUE(result.condition_met);
-  EXPECT_FALSE(monitor.violated()) << monitor.report();
-  EXPECT_GT(monitor.checks_performed(), 0u);
-  const auto verdict = check_consensus(net, inputs);
-  EXPECT_TRUE(verdict.ok()) << verdict.summary();
+void run_with_monitor(const net::Graph& g, std::uint64_t seed,
+                      core::wpaxos::WPaxosConfig cfg = {}) {
+  const auto run = run_both_monitors(g, seed, cfg);
+  ASSERT_TRUE(run.condition_met);
+  EXPECT_FALSE(run.monitor.violated()) << run.monitor.report();
+  EXPECT_GT(run.monitor.checks_performed(), 0u);
+  EXPECT_TRUE(run.verdict.ok()) << run.verdict.summary();
 }
 
 TEST(Lemma42, HoldsOnLine) { run_with_monitor(net::make_line(8), 1); }
@@ -52,6 +153,24 @@ TEST(Lemma42, HoldsUnderProposalStorm) {
   core::wpaxos::WPaxosConfig cfg;
   cfg.change_gating = false;
   run_with_monitor(net::make_line(6), 8, cfg);
+}
+
+TEST(Lemma42, FiresWhenDuplicatedResponsesAreCounted) {
+  // wPAXOS assumes the abstract MAC layer's exactly-once delivery, so a
+  // duplicate-only link-fault plan puts it outside its envelope: a
+  // duplicated response frame is in flight (and consumed) twice, and the
+  // step-wise inequality breaks. The report string was captured with the
+  // per-proposer monitor this one replaced.
+  mac::LinkFaultPlan faults;
+  faults.seed = 4;
+  faults.dup_rate_bp = 3000;
+  const auto monitor =
+      run_both_monitors(net::make_line(6), 4, {}, faults).monitor;
+  ASSERT_TRUE(monitor.violated());
+  EXPECT_EQ(monitor.report(),
+            "Lemma 4.2 violation at t=25: proposer id 5 pn=(4,5) stage=0: "
+            "c=2 + queued=1 + in_flight=2 > responded=4");
+  EXPECT_EQ(monitor.checks_performed(), 110u);
 }
 
 TEST(Lemma44, TagsBoundedByChangeEvents) {
