@@ -179,6 +179,9 @@ class ReplicatedLog {
   [[nodiscard]] const LogServiceStats& stats() const { return stats_; }
   [[nodiscard]] const KvStateMachine& state_machine() const { return kv_; }
   [[nodiscard]] const mac::Network& network() const { return net_; }
+  /// For observers and faults installed before drive(): a post-event hook,
+  /// a trace digest, a link-fault plan. drive() owns every run() call.
+  [[nodiscard]] mac::Network& network() { return net_; }
   /// The instance that decided (or was deciding) slot `slot` — a recovered
   /// slot reports its relaunched full-paxos instance. Retired instances
   /// keep their decisions readable, so post-run oracles

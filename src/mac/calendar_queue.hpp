@@ -20,11 +20,16 @@
 //     bucket to become occupied adopts them, so steady-state operation
 //     allocates nothing and a ring only ever warms as many lanes as it has
 //     simultaneously occupied buckets.
-//   * `push_batch` is the fan-out fast path: when a broadcast schedule is
-//     uniform, all of its deliver events share one tick, so the engine
-//     reserves a contiguous span in that bucket's lane once and fills the
-//     events in place — one bounds check and one bucket lookup for the
-//     whole fan-out instead of per event.
+//   * Lane entries may be runs (event.hpp): `push_run` stores a uniform
+//     fan-out — copies sharing one (t, kind) with consecutive seqs — as a
+//     single entry, so a broadcast to n neighbors costs one lane append
+//     and 48 bytes of queue instead of n of each. `pop` peels the head copy
+//     off a run by bumping its seq; `discard_run_rest` drops the copies
+//     still queued behind the last popped one in O(1). No other event can
+//     fall inside a run's seq range, so comparing entries by their head
+//     seq keeps every lane seq-sorted, and moving a run whole (overflow
+//     migration, resize carry-over, the insert-by-seq path) never splits
+//     it. Counters (size, peak, wheel and overflow pushes) count copies.
 //   * `occupancy_` is a bitmap over buckets; finding the next non-empty
 //     tick is a word-wise circular scan from the cursor.
 //   * Events with t >= base_ + W go to `overflow_`, a (t, kind, seq)
@@ -44,13 +49,13 @@
 // pushes with a resizable horizon (< kMaxResizedWheel / 2, which excludes
 // kForever-style sentinels) have accumulated, it rebuilds the wheel at the
 // power-of-two span covering twice the observed horizon (capped at
-// kMaxResizedWheel buckets) in O(pending events): occupied buckets carry
-// over tick by tick (appends stay seq-sorted because each old bucket holds
-// one tick), then overflow events now inside the window migrate in via
-// wheel_insert, whose insert-by-seq fallback handles the tick shared with
-// a carried-over bucket (possible: the cursor may have advanced past an
-// overflow event's tick without migrating it, while newer same-tick pushes
-// went to the wheel). The rebuild allocates the new ring, but the old
+// kMaxResizedWheel buckets) in O(pending entries): occupied buckets carry
+// over tick by tick, runs whole (appends stay seq-sorted because each old
+// bucket holds one tick), then overflow entries now inside the window
+// migrate in via wheel_insert, whose insert-by-seq fallback handles the
+// tick shared with a carried-over bucket (possible: the cursor may have
+// advanced past an overflow event's tick without migrating it, while newer
+// same-tick pushes went to the wheel). The rebuild allocates the new ring, but the old
 // ring's warmed lane storage is recycled through the spare pool, so the
 // first revolution of the resized wheel reuses it instead of re-warming
 // one allocation per bucket; steady state after the rebuild is clean
@@ -96,108 +101,36 @@ class CalendarQueue {
   [[nodiscard]] std::size_t peak_size() const { return peak_; }
 
   /// Accounting for engine stats, benches, and the fuzzer's coverage
-  /// summary: which path (wheel vs overflow heap) events took, whether the
-  /// self-resize ran, and how often the batch fan-out reservation engaged.
+  /// summary: which path (wheel vs overflow heap) copies took, whether the
+  /// self-resize ran, and how many runs landed in the wheel whole.
   [[nodiscard]] std::uint64_t wheel_pushes() const { return wheel_pushes_; }
   [[nodiscard]] std::uint64_t overflow_pushes() const {
     return overflow_pushes_;
   }
   [[nodiscard]] std::uint64_t resizes() const { return resizes_; }
-  [[nodiscard]] std::uint64_t batch_reservations() const {
-    return batch_reservations_;
-  }
+  [[nodiscard]] std::uint64_t run_pushes() const { return run_pushes_; }
   [[nodiscard]] Time span() const { return wheel_span(); }
-  /// Warmed lane vectors currently parked in the recycling pool (tests).
-  [[nodiscard]] std::size_t spare_lane_count() const {
-    return spare_lanes_.size();
-  }
 
   /// Disables the self-resize (A/B benching of the overflow-heap fallback).
   void set_resize_enabled(bool enabled) { resize_enabled_ = enabled; }
 
-  /// Empties the queue and rewinds the cursor to tick 0 for another run on
-  /// the same engine (Network::reset). Deliberately NOT a rebuild: the ring
-  /// keeps its (possibly resized) span and every warmed lane parks in the
-  /// spare pool, so the next run re-adopts the existing capacity instead of
-  /// re-warming allocations. Accounting counters restart with the run.
-  void clear() {
-    for (std::size_t idx = 0; idx < buckets_.size(); ++idx) {
-      Bucket& b = buckets_[idx];
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        auto& lane = b.lane[k];
-        if (lane.capacity() != 0) {
-          lane.clear();
-          park_spare(std::move(lane));
-          lane = std::vector<Event>();
-        }
-        b.head[k] = 0;
-      }
-      b.tick = 0;
-      b.count = 0;
-    }
-    occupancy_.assign(occupancy_.size(), 0);
-    while (!overflow_.empty()) overflow_.pop();
-    base_ = 0;
-    wheel_count_ = 0;
-    size_ = 0;
-    peak_ = 0;
-    wheel_pushes_ = 0;
-    overflow_pushes_ = 0;
-    resizes_ = 0;
-    batch_reservations_ = 0;
-    observed_horizon_ = 0;
-    resizable_overflow_ = 0;
-  }
-
+  /// Pushes `e` and the `e.copies - 1` copies behind it (a run, see
+  /// event.hpp). Every copy's seq must be newer than any pushed before.
   void push(const Event& e) {
-    AMAC_EXPECTS(e.t >= base_);
-    ++size_;
+    AMAC_EXPECTS(e.t >= base_ && e.copies >= 1);
+    size_ += e.copies;
     if (size_ > peak_) peak_ = size_;
-    // Wrap-free window test (e.t >= base_ holds): base_ + wheel_span()
-    // could overflow for sentinel times near kForever.
-    if (e.t - base_ < wheel_span()) {
-      wheel_insert(e);
-      ++wheel_pushes_;
-    } else {
-      overflow_push(e);
-    }
+    place(e);
   }
 
-  /// Fan-out fast path: reserves `count` contiguous event slots in the
-  /// bucket lane for tick `t` of `kind` and returns the span for the caller
-  /// to fill — with strictly ascending seq values that are globally newer
-  /// than every previously pushed event (the engine's push counter
-  /// guarantees this), keeping the lane seq-sorted. Returns nullptr when
-  /// `t` is outside the wheel window; the caller then falls back to
-  /// per-event push (overflow path). The span is valid until the next queue
-  /// operation.
-  [[nodiscard]] Event* push_batch(Time t, EventKind kind, std::size_t count) {
-    AMAC_EXPECTS(t >= base_ && count > 0);
-    if (t - base_ >= wheel_span()) return nullptr;
-    Bucket& b = buckets_[t & mask_];
-    if (b.count == 0) {
-      b.tick = t;
-      set_occupied(t & mask_);
-    } else {
-      AMAC_ENSURES(b.tick == t);
-    }
-    auto& lane = b.lane[static_cast<std::size_t>(kind)];
-    if (lane.capacity() == 0) warm_lane(lane);
-    const std::size_t offset = lane.size();
-    if (lane.capacity() < offset + count) {
-      // Geometric growth: an exact-size reserve would defeat the vector's
-      // doubling and turn repeated same-tick batch reservations quadratic.
-      lane.reserve(
-          std::max({2 * lane.capacity(), offset + count, kMinLaneCapacity}));
-    }
-    lane.resize(offset + count);
-    b.count += count;
-    wheel_count_ += count;
-    size_ += count;
-    if (size_ > peak_) peak_ = size_;
-    wheel_pushes_ += count;
-    ++batch_reservations_;
-    return lane.data() + offset;
+  /// The fan-out fast path: push() of a uniform fan-out's run, counted in
+  /// run_pushes() when the run lands in the wheel whole. Beyond the window
+  /// it takes the overflow heap exactly as `run.copies` single pushes
+  /// would, the resize trigger included.
+  void push_run(const Event& run) {
+    AMAC_EXPECTS(run.t >= base_);
+    if (run.t - base_ < wheel_span()) ++run_pushes_;
+    push(run);
   }
 
   /// Time of the next event to pop. Requires !empty(). Advances the cursor
@@ -208,23 +141,67 @@ class CalendarQueue {
     return base_;
   }
 
-  /// Pops the (t, kind, seq)-minimal event. Requires !empty().
+  /// Pops the (t, kind, seq)-minimal copy. Requires !empty(). The result's
+  /// `copies` counts it and the copies of its run still queued behind it.
   Event pop() {
     AMAC_EXPECTS(size_ > 0);
     position_cursor();
     Bucket& b = buckets_[base_ & mask_];
     AMAC_ENSURES(b.count > 0 && b.tick == base_);
-    Event e;
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      auto& lane = b.lane[k];
-      if (b.head[k] < lane.size()) {
-        e = lane[b.head[k]++];
-        break;
-      }
+    std::size_t k = 0;
+    while (b.head[k] == b.lane[k].size()) ++k;  // count > 0: k < kLanes
+    Event& head = b.lane[k][b.head[k]];
+    const Event e = head;
+    if (head.copies > 1) {
+      ++head.seq;  // peel the head copy; the rest stays queued in place
+      --head.copies;
+    } else {
+      ++b.head[k];
     }
-    --b.count;
-    --wheel_count_;
-    --size_;
+    take_from_cursor_bucket(b, 1);
+    return e;
+  }
+
+  /// Drops the `popped.copies - 1` copies queued behind `popped`, which
+  /// must be the result of the latest pop() with no push since. O(1).
+  void discard_run_rest(const Event& popped) {
+    const std::uint32_t rest = popped.copies - 1;
+    if (rest == 0) return;
+    Bucket& b = buckets_[base_ & mask_];
+    const auto k = static_cast<std::size_t>(popped.kind);
+    AMAC_EXPECTS(b.tick == popped.t && b.head[k] < b.lane[k].size());
+    const Event& head = b.lane[k][b.head[k]];
+    AMAC_EXPECTS(head.seq == popped.seq + 1 && head.copies == rest);
+    ++b.head[k];
+    take_from_cursor_bucket(b, rest);
+  }
+
+ private:
+  static constexpr std::size_t kLanes = 3;
+  static constexpr std::size_t kMaxWheel = 4096;  ///< construction-time cap
+  /// Resize cap: the self-resize may grow the wheel past the construction
+  /// clamp, but never beyond this (a 64k-bucket ring is ~memory-noise;
+  /// horizons past half of it — crash sentinels at kForever — stay on the
+  /// heap, which handles them fine).
+  static constexpr std::size_t kMaxResizedWheel = std::size_t{1} << 16;
+  /// Overflow pushes with a resizable horizon tolerated before rebuilding.
+  static constexpr std::size_t kResizeOverflowTrigger = 32;
+  /// Smallest capacity a lane vector is ever born with (see warm_lane).
+  static constexpr std::size_t kMinLaneCapacity = 16;
+
+  struct Bucket {
+    std::array<std::vector<Event>, kLanes> lane;  ///< entries, runs included
+    std::array<std::size_t, kLanes> head = {0, 0, 0};
+    Time tick = 0;
+    std::size_t count = 0;  ///< queued copies
+  };
+
+  /// Accounts `n` copies leaving the cursor bucket `b`, recycling its lanes
+  /// once it is empty.
+  void take_from_cursor_bucket(Bucket& b, std::size_t n) {
+    b.count -= n;
+    wheel_count_ -= n;
+    size_ -= n;
     if (b.count == 0) {
       // Warmed lane storage circulates through the spare pool instead of
       // staying pinned to this bucket: the next bucket to become occupied
@@ -242,28 +219,7 @@ class CalendarQueue {
       }
       clear_occupied(base_ & mask_);
     }
-    return e;
   }
-
- private:
-  static constexpr std::size_t kLanes = 3;
-  static constexpr std::size_t kMaxWheel = 4096;  ///< construction-time cap
-  /// Resize cap: the self-resize may grow the wheel past the construction
-  /// clamp, but never beyond this (a 64k-bucket ring is ~memory-noise;
-  /// horizons past half of it — crash sentinels at kForever — stay on the
-  /// heap, which handles them fine).
-  static constexpr std::size_t kMaxResizedWheel = std::size_t{1} << 16;
-  /// Overflow pushes with a resizable horizon tolerated before rebuilding.
-  static constexpr std::size_t kResizeOverflowTrigger = 32;
-  /// Smallest capacity a lane vector is ever born with (see warm_lane).
-  static constexpr std::size_t kMinLaneCapacity = 16;
-
-  struct Bucket {
-    std::array<std::vector<Event>, kLanes> lane;
-    std::array<std::size_t, kLanes> head = {0, 0, 0};
-    Time tick = 0;
-    std::size_t count = 0;
-  };
 
   [[nodiscard]] Time wheel_span() const {
     return static_cast<Time>(buckets_.size());
@@ -309,6 +265,17 @@ class CalendarQueue {
     occupancy_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
   }
 
+  void place(const Event& e) {
+    // Wrap-free window test (e.t >= base_ holds): base_ + wheel_span()
+    // could overflow for sentinel times near kForever.
+    if (e.t - base_ < wheel_span()) {
+      wheel_insert(e);
+      wheel_pushes_ += e.copies;
+    } else {
+      overflow_push(e);
+    }
+  }
+
   void wheel_insert(const Event& e) {
     Bucket& b = buckets_[e.t & mask_];
     if (b.count == 0) {
@@ -330,23 +297,38 @@ class CalendarQueue {
       while (it != lane.end() && it->seq < e.seq) ++it;
       lane.insert(it, e);
     }
-    ++b.count;
-    ++wheel_count_;
+    b.count += e.copies;
+    wheel_count_ += e.copies;
   }
 
   void overflow_push(const Event& e) {
-    overflow_.push(e);
-    ++overflow_pushes_;
     const Time horizon = e.t - base_;
     // Sentinel-ish horizons (crash plans at kForever, anything past half
     // the resize cap) can never be absorbed by a bigger wheel: they don't
     // count toward the resize pressure.
-    if (horizon >= kMaxResizedWheel / 2) return;
-    if (horizon > observed_horizon_) observed_horizon_ = horizon;
-    if (!resize_enabled_) return;
-    if (++resizable_overflow_ >= kResizeOverflowTrigger) {
-      resizable_overflow_ = 0;
-      resize_to_cover(observed_horizon_);
+    const bool resizable = horizon < kMaxResizedWheel / 2;
+    if (resizable && horizon > observed_horizon_) observed_horizon_ = horizon;
+    const std::size_t room = kResizeOverflowTrigger - resizable_overflow_;
+    if (!resizable || !resize_enabled_ || e.copies < room) {
+      overflow_.push(e);
+      overflow_pushes_ += e.copies;
+      if (resizable && resize_enabled_) resizable_overflow_ += e.copies;
+      return;
+    }
+    // The trigger fires at the run's room-th copy, as it would for single
+    // pushes: that prefix goes to the heap, the wheel rebuilds, and the
+    // rest is placed against the resized window.
+    Event prefix = e;
+    prefix.copies = static_cast<std::uint32_t>(room);
+    overflow_.push(prefix);
+    overflow_pushes_ += room;
+    resizable_overflow_ = 0;
+    resize_to_cover(observed_horizon_);
+    if (e.copies > room) {
+      Event rest = e;
+      rest.seq += room;
+      rest.copies -= static_cast<std::uint32_t>(room);
+      place(rest);
     }
   }
 
@@ -456,7 +438,7 @@ class CalendarQueue {
   std::uint64_t wheel_pushes_ = 0;
   std::uint64_t overflow_pushes_ = 0;
   std::uint64_t resizes_ = 0;
-  std::uint64_t batch_reservations_ = 0;
+  std::uint64_t run_pushes_ = 0;
   /// Cleared lane vectors whose capacity is waiting to be adopted by the
   /// next bucket that becomes occupied. Lane storage is conserved, not
   /// duplicated: vectors move bucket -> pool on bucket drain and pool ->

@@ -300,6 +300,8 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
     inst.stats.peak_pool_bytes = std::max(inst.stats.peak_pool_bytes,
                                           inst.stats.live_pool_bytes);
 
+    // Deliver events leave `node` unset: the receiver is read back from
+    // pending at pop time, which is what lets a run stand for many copies.
     Event e;
     e.kind = EventKind::kDeliver;
     e.broadcast_id = id;
@@ -312,35 +314,31 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
       AMAC_CHECK_ENSURES(graph_->has_edge(u, sched.receivers[i]));
     }
 #endif
+    // The last `copies` receivers appended to pending, all arriving at
+    // `t`, as one queue run with the next `copies` seqs.
+    const auto push_run = [&](Time t, std::size_t copies) {
+      e.t = t;
+      e.seq = next_seq_;
+      e.copies = static_cast<std::uint32_t>(copies);
+      next_seq_ += copies;
+      flight.undrained_events += copies;
+      events_.push_run(e);
+      e.copies = 1;
+    };
     if (!faulted) {
       if (sched.uniform && fanout > 0) {
         // Dense fast path: one tick for the whole fan-out, so the pending
-        // list is a bulk copy and the wheel bucket is reserved once.
+        // list is a bulk copy and the fan-out is one queue run.
         AMAC_ENSURES(sched.uniform_delay >= 1 &&
                      sched.uniform_delay <= sched.ack_delay);
-        e.t = now_ + sched.uniform_delay;
         flight.pending.assign(sched.receivers.begin(), sched.receivers.end());
-        flight.undrained_events += fanout;
-        if (Event* span = events_.push_batch(e.t, e.kind, fanout)) {
-          for (std::size_t i = 0; i < fanout; ++i) {
-            e.seq = next_seq_++;
-            e.node = sched.receivers[i];
-            span[i] = e;
-          }
-        } else {
-          for (std::size_t i = 0; i < fanout; ++i) {  // beyond wheel
-            e.seq = next_seq_++;
-            e.node = sched.receivers[i];
-            events_.push(e);
-          }
-        }
+        push_run(now_ + sched.uniform_delay, fanout);
       } else {
         for (std::size_t i = 0; i < fanout; ++i) {
           const Time delay = sched.delays[i];
           AMAC_ENSURES(delay >= 1 && delay <= sched.ack_delay);
           e.t = now_ + delay;
           e.seq = next_seq_++;
-          e.node = sched.receivers[i];
           events_.push(e);
           flight.pending.push_back(sched.receivers[i]);
           ++flight.undrained_events;
@@ -353,36 +351,22 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
       const auto emit = [&](NodeId v, Time t) {
         e.t = t;
         e.seq = next_seq_++;
-        e.node = v;
         events_.push(e);
         flight.pending.push_back(v);
         ++flight.undrained_events;
       };
       if (sched.uniform) {
-        // The batch reservation shrinks to the kept subset: only affected
-        // receivers fall off the dense path.
+        // The run shrinks to the kept subset (pending starts empty): only
+        // affected receivers fall off the dense path.
         const Time uniform_t = now_ + sched.uniform_delay;
-        std::size_t kept = 0;
-        for (const LinkFaultDecision& d : fault_scratch_) {
-          if (d.deliver && d.deliver_at == uniform_t) ++kept;
-        }
-        if (kept > 0) {
-          e.t = uniform_t;
-          Event* span = events_.push_batch(e.t, e.kind, kept);
-          std::size_t filled = 0;
-          for (std::size_t i = 0; i < fanout; ++i) {
-            const LinkFaultDecision& d = fault_scratch_[i];
-            if (!d.deliver || d.deliver_at != uniform_t) continue;
-            if (span != nullptr) {
-              e.seq = next_seq_++;
-              e.node = sched.receivers[i];
-              span[filled++] = e;
-              flight.pending.push_back(e.node);
-              ++flight.undrained_events;
-            } else {
-              emit(sched.receivers[i], uniform_t);
-            }
+        for (std::size_t i = 0; i < fanout; ++i) {
+          const LinkFaultDecision& d = fault_scratch_[i];
+          if (d.deliver && d.deliver_at == uniform_t) {
+            flight.pending.push_back(sched.receivers[i]);
           }
+        }
+        if (!flight.pending.empty()) {
+          push_run(uniform_t, flight.pending.size());
         }
       } else {
         for (std::size_t i = 0; i < fanout; ++i) {
@@ -408,7 +392,6 @@ void Network::start_broadcast(NodeId u, InstanceId instance,
       AMAC_CHECK_ENSURES(overlay_->has_edge(u, v));
       e.t = now_ + delay;
       e.seq = next_seq_++;
-      e.node = v;
       events_.push(e);
       flight.pending.push_back(v);
       ++flight.undrained_events;
@@ -470,12 +453,10 @@ void Network::process_event(const Event& e) {
         Flight& flight = flights_[slot];
         AMAC_ENSURES(flight.id == e.broadcast_id);
         AMAC_ENSURES(flight.instance == e.instance);
-        // O(1) retire: the seq-derived slot (see Flight) is tombstoned in
-        // place — erase-by-find here made clique rounds O(n^3) overall.
-        const auto idx = static_cast<std::size_t>(e.seq - flight.first_seq);
-        AMAC_ENSURES(idx < flight.pending.size() &&
-                     flight.pending[idx] == e.node);
-        flight.pending[idx] = kNoNode;
+        // O(1) retire: the seq-derived slot (see Flight), already checked
+        // by receiver_of, is tombstoned in place — erase-by-find here made
+        // clique rounds O(n^3) overall.
+        flight.pending[e.seq - flight.first_seq] = kNoNode;
         drained = --flight.undrained_events == 0;
         payload_slot = flight.payload_slot;
       }
@@ -515,6 +496,28 @@ void Network::process_event(const Event& e) {
   }
 }
 
+NodeId Network::receiver_of(const Event& e) const {
+  const Flight& flight = flights_[e.flight_slot];
+  const auto idx = static_cast<std::size_t>(e.seq - flight.first_seq);
+  AMAC_ENSURES(idx < flight.pending.size());
+  const NodeId receiver = flight.pending[idx];
+  AMAC_ENSURES(receiver != kNoNode);  // a tombstone: the copy popped twice
+  return receiver;
+}
+
+void Network::discard_run_rest(const Event& e) {
+  const std::uint32_t rest = e.copies - 1;
+  events_.discard_run_rest(e);
+  Flight& flight = flights_[e.flight_slot];
+  const auto first = static_cast<std::size_t>(e.seq + 1 - flight.first_seq);
+  AMAC_ENSURES(first + rest <= flight.pending.size() &&
+               flight.undrained_events >= rest);
+  std::fill_n(flight.pending.begin() + static_cast<std::ptrdiff_t>(first),
+              rest, kNoNode);
+  flight.undrained_events -= rest;
+  if (flight.undrained_events == 0) release_flight(e.flight_slot);
+}
+
 RunResult Network::run(StopWhen until, Time max_time) {
   if (!started_) {
     started_ = true;
@@ -538,7 +541,7 @@ RunResult Network::run(StopWhen until, Time max_time) {
     stats_.wheel_pushes = events_.wheel_pushes();
     stats_.overflow_pushes = events_.overflow_pushes();
     stats_.wheel_resizes = events_.resizes();
-    stats_.batch_pushes = events_.batch_reservations();
+    stats_.batch_pushes = events_.run_pushes();
     stats_.wheel_span = static_cast<std::size_t>(events_.span());
     return RunResult{met, now_};
   };
@@ -546,15 +549,25 @@ RunResult Network::run(StopWhen until, Time max_time) {
   while (!events_.empty()) {
     if (condition_met()) return finish(true);
     if (events_.next_time() > max_time) return finish(condition_met());
-    const Event e = events_.pop();
+    Event e = events_.pop();
     AMAC_ENSURES(e.t >= now_);
     now_ = e.t;
+    if (e.kind == EventKind::kDeliver) e.node = receiver_of(e);
+    // The rest of a retired instance's run would pop next, one copy at a
+    // time, each as pure bookkeeping: no callback, no counter, no stop
+    // condition can change (crashes pop after every delivery of a tick).
+    // Unless someone watches every event, drop them in one step.
+    const bool drain = e.copies > 1 && instances_[e.instance].retired &&
+                       !trace_enabled_ && !post_event_hook_;
     if (trace_enabled_) trace_event(e);
     process_event(e);
     if (post_event_hook_) post_event_hook_(*this);
     if (until == StopWhen::kInstanceDecided && instance_decided_) {
+      // Stopping here leaves the rest of the run queued, as it would be
+      // without the drain: the caller may push (and peak) before it pops.
       return finish(true);
     }
+    if (drain) discard_run_rest(e);
   }
   // Queue drained: quiescent.
   return finish(until != StopWhen::kAllDecided || all_alive_decided());

@@ -46,9 +46,25 @@
 // receivers[] / delays[] written by every scheduler into the engine's
 // scratch, plus a dense uniform form (receivers[] + one shared delay) for
 // lock-step schedulers. start_broadcast fans out with a tight two-array
-// loop; in the uniform case all deliver events share one tick, so the
-// engine batch-reserves the calendar bucket lane once (CalendarQueue::
-// push_batch) and fills the events in place — no per-event bucket lookup.
+// loop. In the uniform case all deliver copies share one tick and take
+// consecutive seqs, so the whole fan-out is ONE queue entry, a run
+// (CalendarQueue::push_run, event.hpp): the paper's broadcast is one
+// action, and the queue stores it as one. Pops expand the run copy by
+// copy in the order separate events would pop in, and every deliver reads
+// its receiver from the flight's pending list (see Flight), so the queue
+// never stores receivers. Non-uniform schedules push one event per copy.
+//
+// Retired runs. A copy addressed to a retired instance is pure bookkeeping
+// (see "Instance multiplexing"), and so is the rest of its run: no
+// callback or counter runs, no stop condition can change, and crashes pop
+// after every delivery of their tick. run() therefore drops the rest of
+// such a run in one step (CalendarQueue::discard_run_rest), tombstoning
+// the copies in their flight and releasing it if they were its last —
+// the same pool and flight free-list order as popping them one by one.
+// It does so only after the stop checks, so a run() that stops on that
+// copy leaves the rest queued, exactly as before, and never while a trace
+// digest or a post-event hook watches every event: those still see each
+// copy pop.
 //
 // Payload pool. A broadcast copies its payload into a reusable PayloadPool
 // slot (payload_pool.hpp); deliver events carry the owning flight's slot
@@ -77,9 +93,9 @@
 // receiver): copies are kept, deferred past a transient outage window,
 // permanently dropped, or duplicated at a bounded extra delay. Emission
 // order is canonical and engine-independent — kept copies at their original
-// ticks first (the dense-uniform batch reservation shrinks to exactly this
-// subset), then deferred copies, then duplicates, each group in schedule
-// index order — and the ack is stretched to the latest emitted arrival so
+// ticks first (the dense-uniform run shrinks to exactly this subset),
+// then deferred copies, then duplicates, each group in schedule index
+// order — and the ack is stretched to the latest emitted arrival so
 // the layer's "receive before the sender's ack" guarantee survives
 // deferral and duplication (permanent losses are the one guarantee the
 // plan is allowed to break). Dropped copies consume no event seq and no
@@ -134,13 +150,16 @@
 //     erase-by-find made each delivery O(fan-out), i.e. a whole clique
 //     round O(n^3) in total — at n=4096 that term alone dwarfed the
 //     simulation.
-//   * Queue traffic is already flat: a uniform fan-out is one push_batch
-//     bucket reservation filled in place (sequential writes into one lane
-//     vector — the cache-friendly regime), and pops walk the same lane
-//     sequentially. Peak queue memory is the real n=4096 cost: a clique
-//     sync round holds ~n^2 deliver events (~670 MB transient at
-//     n=4096), so big-clique benches are calendar-only and sized to few
-//     rounds.
+//   * Queue traffic is flat and small: a uniform fan-out is one 48-byte
+//     run entry, whatever n is, and pops peel copies off it in place. A
+//     4096-clique sync round holds ~n^2 = 16.7M deliveries in flight but
+//     only n queue entries; the O(fan-out) memory left is each flight's
+//     4-byte-per-receiver pending list (~67 MB for that round), down from
+//     ~800 MB of 48-byte events. BM_EngineFanout/4096 went from 3.8-4.1 s
+//     and 1,717 MB peak RSS with one event per copy to 0.76-0.91 s and
+//     134 MB with runs (RelWithDebInfo, 4-vCPU container, three runs
+//     each). Non-uniform schedulers still push one event per copy. Big-clique benches stay
+//     calendar-only (the reference engine caps at 1024) and few-round.
 //   * Capacity warms once. Flight slots, pending vectors, pool slots, and
 //     lane storage all recycle; after the first large fan-out the steady
 //     state allocates nothing at any n (allocation-counting test covers a
@@ -198,8 +217,8 @@ struct EngineStats {
   std::uint64_t wheel_pushes = 0;     ///< events placed directly in the wheel
   std::uint64_t overflow_pushes = 0;  ///< events spilled to the overflow heap
   std::uint64_t wheel_resizes = 0;    ///< self-resize rebuilds that ran
-  std::uint64_t batch_pushes = 0;     ///< uniform fan-outs that took the
-                                      ///< push_batch bucket reservation
+  std::uint64_t batch_pushes = 0;     ///< uniform fan-outs queued in the
+                                      ///< wheel as one run entry
   std::size_t wheel_span = 0;         ///< final wheel size in buckets
   /// Crashes that hit a node while its instance-0 broadcast still had
   /// undelivered copies (the non-atomic broadcast cancellation path).
@@ -415,12 +434,14 @@ class Network {
   /// tombstoned to kNoNode at its slot instead of erased, so the kDeliver
   /// hot path is O(1) instead of the O(fan-out) erase-by-find that made a
   /// clique broadcast O(n^2) per round. The slot for an event is derived,
-  /// not stored: within one start_broadcast every deliver event takes a
+  /// not stored: within one start_broadcast every deliver copy takes a
   /// consecutive seq in exactly pending-append order (drops consume no seq,
-  /// the ack's seq comes after), so event e owns pending[e.seq - first_seq].
-  /// `undrained_events` counts live (non-tombstoned) entries — the two
-  /// counters move in lockstep because every pending entry is retired by
-  /// exactly one popped deliver event.
+  /// the ack's seq comes after), so copy e owns pending[e.seq - first_seq]
+  /// — which is also where its receiver is read from, since queued deliver
+  /// events (runs included) carry none. `undrained_events` counts live
+  /// (non-tombstoned) entries — the two counters move in lockstep because
+  /// every pending entry is retired by exactly one popped copy or by the
+  /// drop of a retired run's rest.
   struct Flight {
     NodeId sender = kNoNode;
     std::uint32_t payload_slot = 0;
@@ -436,6 +457,11 @@ class Network {
   void start_broadcast(NodeId u, InstanceId instance,
                        const util::Buffer& payload);
   void process_event(const Event& e);
+  /// The receiver of deliver copy `e`, read from its flight's pending list.
+  [[nodiscard]] NodeId receiver_of(const Event& e) const;
+  /// Drops the copies queued behind popped run copy `e` from the queue and
+  /// tombstones them in its flight, releasing the flight if that drains it.
+  void discard_run_rest(const Event& e);
   void release_flight(std::uint32_t slot);
   void trace_event(const Event& e);
 

@@ -241,9 +241,9 @@ class ScriptedScheduler final : public Scheduler {
               std::vector<std::pair<NodeId, Time>> delays);
 
   /// Scripts the `index`-th broadcast of `sender` with ONE shared delay for
-  /// every receiver — the dense uniform form (the engine batch-reserves the
-  /// calendar bucket for it, so scripted timelines exercise the push_batch
-  /// path). Requires 1 <= receive_delay <= ack_delay.
+  /// every receiver — the dense uniform form (the engine queues it as one
+  /// run entry, so scripted timelines exercise the run path). Requires
+  /// 1 <= receive_delay <= ack_delay.
   void script_uniform(NodeId sender, std::size_t index, Time ack_delay,
                       Time receive_delay);
 

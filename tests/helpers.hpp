@@ -1,10 +1,12 @@
-// Shared test fixtures: a probe process that records everything it observes.
+// Shared test fixtures: a probe process that records everything it
+// observes, and a digest of a network's engine-level observables.
 #pragma once
 
 #include <vector>
 
 #include "mac/engine.hpp"
 #include "mac/process.hpp"
+#include "util/hash.hpp"
 
 namespace amac::testutil {
 
@@ -95,6 +97,48 @@ inline const ProbeProcess& probe_at(const mac::Network& net, NodeId u) {
   const auto* p = dynamic_cast<const ProbeProcess*>(&net.process(u));
   AMAC_ASSERT(p != nullptr);
   return *p;
+}
+
+/// Every engine-level observable of a network between runs: each
+/// EngineStats field, each instance's InstanceStats and in-flight counts,
+/// the payload-pool counters, and the copies still in flight.
+inline std::uint64_t engine_digest(const mac::Network& net) {
+  util::Hasher h;
+  const mac::EngineStats& es = net.stats();
+  for (const std::uint64_t v :
+       {es.broadcasts, es.dropped_busy, es.deliveries, es.acks,
+        es.payload_bytes, std::uint64_t{es.max_payload_bytes},
+        std::uint64_t{es.peak_events}, es.wheel_pushes, es.overflow_pushes,
+        es.wheel_resizes, es.batch_pushes, std::uint64_t{es.wheel_span},
+        es.mid_flight_crashes, es.drops, es.duplicates}) {
+    h.mix_u64(v);
+  }
+  for (mac::InstanceId i = 0; i < net.instance_count(); ++i) {
+    const mac::InstanceStats& is = net.instance_stats(i);
+    for (const std::uint64_t v :
+         {is.broadcasts, is.dropped_busy, is.deliveries, is.acks,
+          is.payload_bytes, std::uint64_t{is.max_payload_bytes}, is.drops,
+          is.duplicates, std::uint64_t{is.live_pool_slots},
+          std::uint64_t{is.peak_pool_slots}, std::uint64_t{is.live_pool_bytes},
+          std::uint64_t{is.peak_pool_bytes}}) {
+      h.mix_u64(v);
+    }
+    for (NodeId u = 0; u < net.node_count(); ++u) {
+      h.mix_u64(net.in_flight_from(u, i));
+    }
+  }
+  const mac::PayloadPool& pool = net.payload_pool();
+  h.mix_u64(pool.slot_count());
+  h.mix_u64(pool.live_count());
+  h.mix_u64(pool.acquires());
+  h.mix_u64(pool.reuses());
+  net.for_each_in_flight(
+      [&h](NodeId sender, NodeId receiver, const util::Buffer& payload) {
+        h.mix_u64(sender);
+        h.mix_u64(receiver);
+        h.mix_bytes(payload);
+      });
+  return h.digest();
 }
 
 }  // namespace amac::testutil

@@ -10,8 +10,10 @@
 //   * self-resize under load (sustained overflow pressure rebuilds the
 //     wheel mid-interleaving; order must be oracle-identical across the
 //     rebuild) and the disabled-resize fallback;
-//   * the batch push fast path (push_batch + in-place fill vs per-event
-//     pushes);
+//   * run entries (one entry standing for a uniform fan-out's copies,
+//     event.hpp) vs the same copies pushed one by one: pop order, tail
+//     discards, overflow migration and resize carry-over of partly
+//     popped runs, and every counter;
 //   * FIFO tie-break at equal timestamps (seq order within a kind, kind
 //     lanes at one tick).
 #include <gtest/gtest.h>
@@ -178,56 +180,183 @@ TEST(CalendarQueueProperty, DisabledResizeStaysOnOverflowHeapAndCorrect) {
   }
 }
 
-TEST(CalendarQueueProperty, BatchPushMatchesPerEventPushes) {
-  // Same stream pushed via push_batch (where in-window) into one queue and
-  // per-event into another: identical pop order, and both match the oracle.
+/// Pushes `run` into `q` and its copies one by one into `plain` and `ref`.
+void push_expanded(CalendarQueue& q, CalendarQueue& plain, Oracle& ref,
+                   const Event& run) {
+  q.push_run(run);
+  Event copy = run;
+  copy.copies = 1;
+  for (std::uint32_t i = 0; i < run.copies; ++i) {
+    copy.seq = run.seq + i;
+    plain.push(copy);
+    ref.push(copy);
+  }
+}
+
+/// Pops one copy from all three queues and checks they agree; returns the
+/// run queue's result (its `copies` reports the run's remaining copies).
+Event pop_all(CalendarQueue& q, CalendarQueue& plain, Oracle& ref) {
+  const Event got = q.pop();
+  const Event want = plain.pop();
+  EXPECT_EQ(got.t, want.t);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(want.seq, ref.top().seq);
+  ref.pop();
+  return got;
+}
+
+/// Discards the rest of `popped`'s run from `q`; the others pop those
+/// copies, which must be exactly the run's next seqs.
+void discard_all(CalendarQueue& q, CalendarQueue& plain, Oracle& ref,
+                 const Event& popped) {
+  q.discard_run_rest(popped);
+  for (std::uint32_t i = 1; i < popped.copies; ++i) {
+    const Event want = plain.pop();
+    ASSERT_EQ(want.seq, popped.seq + i);
+    ASSERT_EQ(ref.top().seq, want.seq);
+    ref.pop();
+  }
+}
+
+/// Everything a caller can observe of a queue besides its pop order.
+void expect_same_counters(const CalendarQueue& q, const CalendarQueue& plain) {
+  EXPECT_EQ(q.size(), plain.size());
+  EXPECT_EQ(q.peak_size(), plain.peak_size());
+  EXPECT_EQ(q.wheel_pushes(), plain.wheel_pushes());
+  EXPECT_EQ(q.overflow_pushes(), plain.overflow_pushes());
+  EXPECT_EQ(q.resizes(), plain.resizes());
+  EXPECT_EQ(q.span(), plain.span());
+}
+
+TEST(CalendarQueueProperty, RunEntriesMatchExpandedSingleEvents) {
+  // Runs interleaved with single pushes, some far enough out to take the
+  // overflow heap (and trip resizes mid-run), popped copy by copy with
+  // random tail discards. A second queue and the heap oracle get every run
+  // expanded into single events: pop order and every counter must agree.
   util::Rng rng(0xBA7C4);
-  for (int trial = 0; trial < 10; ++trial) {
-    CalendarQueue batched(8);
-    CalendarQueue plain(8);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Time hint = rng.uniform(1, 8);
+    CalendarQueue q(hint);
+    CalendarQueue plain(hint);
     Oracle ref;
     std::uint64_t seq = 0;
     Time now = 0;
-    for (int step = 0; step < 1500; ++step) {
-      if (!batched.empty() && rng.chance(0.45)) {
-        const Event a = batched.pop();
-        const Event b = plain.pop();
-        expect_same_event(a, b);
-        expect_same_event(a, ref.top());
-        ref.pop();
-        now = a.t;
+    std::uint64_t discards = 0;
+    for (int step = 0; step < 3000; ++step) {
+      if (!q.empty() && rng.chance(0.5)) {
+        const Event got = pop_all(q, plain, ref);
+        now = got.t;
+        if (got.copies > 1 && rng.chance(0.3)) {
+          discard_all(q, plain, ref, got);
+          ++discards;
+        }
       } else {
-        // A uniform fan-out: `count` events sharing one tick and kind,
-        // consecutive seq values.
-        const std::size_t count = rng.uniform(1, 6);
         Event e;
-        e.t = now + (rng.chance(0.1) ? rng.uniform(500, 900)
-                                     : rng.uniform(0, 12));
-        e.kind = static_cast<EventKind>(rng.uniform(0, 2));
-        Event* span = batched.push_batch(e.t, e.kind, count);
-        for (std::size_t i = 0; i < count; ++i) {
-          e.seq = seq++;
-          e.node = static_cast<NodeId>(i);
-          if (span != nullptr) {
-            span[i] = e;
-          } else {
-            batched.push(e);  // beyond the window: overflow fallback
-          }
+        e.t = now + (rng.chance(0.15) ? rng.uniform(200, 900)
+                                      : rng.uniform(0, 12));
+        e.seq = seq;
+        if (rng.chance(0.5)) {
+          e.kind = EventKind::kDeliver;
+          e.copies = static_cast<std::uint32_t>(rng.uniform(1, 40));
+          push_expanded(q, plain, ref, e);
+        } else {
+          e.kind = static_cast<EventKind>(rng.uniform(0, 2));
+          q.push(e);
           plain.push(e);
           ref.push(e);
         }
+        seq += e.copies;
       }
+      ASSERT_EQ(q.size(), ref.size());
     }
-    while (!batched.empty()) {
-      const Event a = batched.pop();
-      const Event b = plain.pop();
-      expect_same_event(a, b);
-      expect_same_event(a, ref.top());
-      ref.pop();
-    }
+    EXPECT_GT(discards, 0u);
+    EXPECT_GT(q.overflow_pushes(), 0u);
+    EXPECT_GT(q.run_pushes(), 0u);
+    expect_same_counters(q, plain);
+    while (!q.empty()) (void)pop_all(q, plain, ref);
     EXPECT_TRUE(plain.empty());
     EXPECT_TRUE(ref.empty());
   }
+}
+
+TEST(CalendarQueueProperty, OverflowRunMigratesAheadOfANewerRunInItsBucket) {
+  // A far run waits on the overflow heap while the cursor advances until
+  // its tick is inside the window; a newer run then lands in the wheel
+  // bucket of that tick. The rebase migrates the older run in ahead of the
+  // newer one (insert-by-seq), and both pop copy by copy, a tail discard
+  // included. (The cursor bucket, the only one that can hold a partly
+  // popped run, never receives a migrated event: the cursor reaches a
+  // tick only after every overflow event of that tick has migrated.)
+  CalendarQueue q(4);  // span 16
+  CalendarQueue plain(4);
+  Oracle ref;
+  Event far;
+  far.t = 20;
+  far.seq = 0;
+  far.copies = 5;
+  push_expanded(q, plain, ref, far);  // overflow: seqs 0..4
+  EXPECT_EQ(q.run_pushes(), 0u);
+  Event near;
+  near.t = 10;
+  near.seq = 5;
+  push_expanded(q, plain, ref, near);
+  EXPECT_EQ(pop_all(q, plain, ref).t, 10u);  // cursor at 10: 20 in window
+  Event newer;
+  newer.t = 20;
+  newer.seq = 6;
+  newer.copies = 4;
+  push_expanded(q, plain, ref, newer);  // wheel bucket 20: seqs 6..9
+  EXPECT_EQ(q.run_pushes(), 2u);
+  const Event first = pop_all(q, plain, ref);  // rebase + migration
+  EXPECT_EQ(first.seq, 0u);
+  EXPECT_EQ(first.copies, 5u);
+  EXPECT_EQ(pop_all(q, plain, ref).seq, 1u);
+  const Event third = pop_all(q, plain, ref);
+  EXPECT_EQ(third.copies, 3u);
+  discard_all(q, plain, ref, third);  // drops seqs 3..4
+  EXPECT_EQ(q.size(), 4u);
+  const Event fourth = pop_all(q, plain, ref);
+  EXPECT_EQ(fourth.seq, 6u);
+  EXPECT_EQ(fourth.copies, 4u);
+  expect_same_counters(q, plain);
+  while (!q.empty()) (void)pop_all(q, plain, ref);
+  EXPECT_TRUE(ref.empty());
+}
+
+TEST(CalendarQueueProperty, ResizeCarriesAPartlyPoppedRunWhole) {
+  // Pop two copies of a run, then push enough resizable far events to
+  // rebuild the wheel under it — one far run crosses the trigger mid-run,
+  // so its tail is placed against the resized window. The partly popped
+  // run must survive the carry-over and keep popping at its next seq.
+  CalendarQueue q(2);  // span 8
+  CalendarQueue plain(2);
+  Oracle ref;
+  Event run;
+  run.t = 3;
+  run.seq = 0;
+  run.copies = 6;
+  push_expanded(q, plain, ref, run);
+  EXPECT_EQ(pop_all(q, plain, ref).seq, 0u);
+  EXPECT_EQ(pop_all(q, plain, ref).seq, 1u);
+  std::uint64_t seq = 6;
+  for (int i = 0; i < 3; ++i) {
+    Event far;
+    far.t = 100 + static_cast<Time>(i);
+    far.seq = seq;
+    far.copies = 20;  // the second run holds the 32nd resizable copy
+    push_expanded(q, plain, ref, far);
+    seq += far.copies;
+  }
+  EXPECT_EQ(q.resizes(), 1u);
+  expect_same_counters(q, plain);
+  const Event next = pop_all(q, plain, ref);
+  EXPECT_EQ(next.seq, 2u);
+  EXPECT_EQ(next.copies, 4u);
+  discard_all(q, plain, ref, next);
+  while (!q.empty()) (void)pop_all(q, plain, ref);
+  EXPECT_TRUE(ref.empty());
+  expect_same_counters(q, plain);
 }
 
 // --- deterministic corner cases ------------------------------------------

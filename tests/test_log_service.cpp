@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "helpers.hpp"
 #include "log/replicated_log.hpp"
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
@@ -407,6 +408,54 @@ TEST(LogService, HorizonExhaustionReportsIncomplete) {
   EXPECT_FALSE(stats.complete);
   EXPECT_LT(stats.ops_applied, 512u);
   EXPECT_LE(stats.end_time, 21u);
+}
+
+TEST(LogService, RetiredRunDrainDoesNotPerturbTheRun) {
+  // With no trace digest and no post-event hook, the engine drops the rest
+  // of a retired slot's fan-out run in one step instead of popping its
+  // copies one at a time. A no-op hook turns that off, so each config is
+  // driven both ways and must agree on every service and engine figure.
+  const std::size_t n = 8;
+  const net::Graph graph = net::make_clique(n);
+  const Workload workload(kSeed, 96);
+  LogConfig clean;
+  clean.batch_size = 2;
+  clean.window = 3;
+  clean.lease_slots = 8;
+  clean.read_every = 3;
+  LogConfig crashed = clean;
+  crashed.crashes.push_back(mac::CrashPlan{static_cast<NodeId>(n - 1), 3});
+  crashed.crashes.push_back(mac::CrashPlan{2, 40});
+  // Duplicates split a fan-out into a kept run plus single copies, so a
+  // retired flight outlives its dropped run. (drive() runs to quiescence,
+  // so no such flight is left to inspect when it returns; the
+  // multi-instance test of the drain checks the tombstones between runs.)
+  mac::LinkFaultPlan dups;
+  dups.seed = 7;
+  dups.dup_rate_bp = 3000;
+
+  struct Case {
+    const LogConfig* config;
+    const mac::LinkFaultPlan* faults;
+  };
+  for (const Case& c : {Case{&clean, nullptr}, Case{&crashed, nullptr},
+                        Case{&clean, &dups}, Case{&crashed, &dups}}) {
+    std::uint64_t service[2] = {0, 0};
+    std::uint64_t engine[2] = {0, 0};
+    for (const bool hooked : {false, true}) {
+      mac::SynchronousScheduler sched(1);
+      ReplicatedLog log(graph, sched, workload, *c.config);
+      if (c.faults != nullptr) log.network().set_link_faults(*c.faults);
+      if (hooked) log.network().set_post_event_hook([](mac::Network&) {});
+      const LogServiceStats& stats = log.drive(mac::Time{1} << 32);
+      EXPECT_TRUE(stats.complete);
+      EXPECT_EQ(stats.oracle_failures, 0u);
+      service[hooked] = stats_digest(stats);
+      engine[hooked] = testutil::engine_digest(log.network());
+    }
+    EXPECT_EQ(service[0], service[1]);
+    EXPECT_EQ(engine[0], engine[1]);
+  }
 }
 
 TEST(LogService, BatchRangeCoversStreamWithRaggedTail) {

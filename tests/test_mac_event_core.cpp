@@ -506,10 +506,11 @@ TEST(EngineAllocation, LargeTopologySteadyStateAllocatesNothing) {
 
 TEST(EngineAllocation, SoAUniformFanoutBatchPathAllocatesNothing) {
   // Dense clique + MaxDelayScheduler: every broadcast takes the SoA dense
-  // fast path (uniform schedule -> CalendarQueue::push_batch, bulk pending
-  // copy). After warm-up the whole fan-out cycle must be allocation-free,
-  // and every delivery must have been pushed through the wheel (batch
-  // reservations count as wheel pushes; nothing spills to the heap).
+  // fast path (uniform schedule -> one CalendarQueue run entry, bulk
+  // pending copy). After warm-up the whole fan-out cycle must be
+  // allocation-free, and every delivery must have been pushed through the
+  // wheel (a run's copies count as wheel pushes; nothing spills to the
+  // heap).
   const auto g = net::make_clique(12);
   MaxDelayScheduler sched(4);
   Network net(g, [](NodeId) { return std::make_unique<SteadyPinger>(); },

@@ -18,6 +18,7 @@
 #include <algorithm>
 
 #include "core/commit_flood.hpp"
+#include "helpers.hpp"
 #include "core/wpaxos/wpaxos.hpp"
 #include "mac/engine.hpp"
 #include "mac/reference_engine.hpp"
@@ -368,6 +369,47 @@ TEST(MultiInstance, VacuousInstanceStopsAfterTheNextEventNotBefore) {
   EXPECT_TRUE(r.condition_met);
   EXPECT_EQ(events, n + 1);
   EXPECT_EQ(r.end_time, 3u);  // the first pending delivery, not tick 1
+}
+
+TEST(MultiInstance, RetiredRunDrainIsInvisibleBetweenRuns) {
+  // A service-style loop: every decided tenant is retired at the stop and
+  // a new one launched, so the queue keeps filling with retired fan-out
+  // runs, which the engine drops in one step. A no-op hook turns the drop
+  // off; every stop must look the same both ways. Duplicates keep some
+  // retired flights live past their dropped run (their tombstones show in
+  // for_each_in_flight), and tenants that decide at start make some runs
+  // stop right after a retired copy pops: the rest of its run must still
+  // be queued when the next launch pushes (peak_events sees it).
+  const std::size_t n = 8;
+  const net::Graph graph = net::make_clique(n);
+  LinkFaultPlan dups;
+  dups.seed = 3;
+  dups.dup_rate_bp = 2500;
+  const auto drive = [&](bool hooked) {
+    SynchronousScheduler sched(1);
+    Network net(graph, commit_flood_factory(0, 1), sched);
+    net.set_link_faults(dups);
+    if (hooked) net.set_post_event_hook([](Network&) {});
+    std::vector<std::uint64_t> stops;
+    for (std::size_t round = 0; round < 40; ++round) {
+      const RunResult r = net.run(StopWhen::kInstanceDecided, 100000);
+      EXPECT_TRUE(r.condition_met);
+      stops.push_back(testutil::engine_digest(net) ^ r.end_time);
+      for (InstanceId i = 0; i < net.instance_count(); ++i) {
+        if (net.instance_all_decided(i)) net.retire_instance(i);
+      }
+      // Two start-deciding tenants in a row: the second one's notice
+      // stops the next run on the first copy of the first one's run.
+      net.add_instance(round % 4 < 2
+                           ? holdout_factory(kNoNode, 2)
+                           : commit_flood_factory(round % n,
+                                                  static_cast<Value>(round)));
+    }
+    EXPECT_TRUE(net.run(StopWhen::kQuiescent, 100000).condition_met);
+    stops.push_back(testutil::engine_digest(net));
+    return stops;
+  };
+  EXPECT_EQ(drive(false), drive(true));
 }
 
 TEST(MultiInstance, EnginesAgreeOnInstanceDecidedStops) {
