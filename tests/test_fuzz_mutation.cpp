@@ -16,6 +16,7 @@
 #include <algorithm>
 
 #include "fuzz/fuzzer.hpp"
+#include "util/hash.hpp"
 
 namespace amac::fuzz {
 namespace {
@@ -115,6 +116,7 @@ TEST(FuzzMutation, MutantChainsSurviveRoundTripAndStayInEnvelope) {
   // must stay spec-exact and inside the guarantee envelope — this is what
   // makes a mutant violation a real bug and its printed spec replayable.
   util::Rng rng(0xC07E4A6E);
+  util::Hasher mutant_digest;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Scenario s = generate_scenario(seed);
     const Scenario partner = generate_scenario(seed + 1000);
@@ -129,8 +131,12 @@ TEST(FuzzMutation, MutantChainsSurviveRoundTripAndStayInEnvelope) {
       ASSERT_TRUE(parsed.has_value()) << context;
       EXPECT_EQ(format_spec(*parsed), format_spec(s)) << context;
       expect_in_envelope(s, context);
+      mutant_digest.mix_string(format_spec(s));
     }
   }
+  // Pins the 480 mutant specs of this chain, in order: a refactor of the
+  // mutator or the envelope clamp must reproduce every rng draw.
+  EXPECT_EQ(mutant_digest.digest(), 0x20d8197d9cef44c5ULL);
 }
 
 TEST(FuzzSpec, PerReceiverScriptSlotsRoundTripExactly) {
@@ -564,6 +570,13 @@ TEST(FuzzShrinker, MinimizesHoldReleaseToExactThreshold) {
   const auto replayed = parse_spec(format_spec(shrunk.scenario));
   ASSERT_TRUE(replayed.has_value());
   EXPECT_EQ(run_scenario(*replayed).failure, FailureKind::kAgreement);
+  // Pins of the shrink path: the exact minimal spec and the candidate runs
+  // spent reaching it.
+  EXPECT_EQ(format_spec(shrunk.scenario),
+            "amacfuzz1:seed=1:alg=anonymous:topo=ring:n=3:aux=0:"
+            "sched=holdback:fack=1:late=0:in=alt:ids=identity:f=0:"
+            "hz=1000000:holds=0@3,2@3");
+  EXPECT_EQ(shrunk.attempts, 32u);
 }
 
 TEST(FuzzShrinker, ValueMinimizationCanBePinnedOff) {

@@ -11,6 +11,7 @@
 
 #include "fuzz/fuzzer.hpp"
 #include "net/graph.hpp"
+#include "util/hash.hpp"
 
 namespace amac::fuzz {
 namespace {
@@ -77,11 +78,21 @@ TEST(FuzzSpec, RoundTripsEveryLineOfAMutatingSoak) {
   EXPECT_GT(result.mutated_runs, 0u);
   EXPECT_GT(result.log_scenarios, 0u);
   EXPECT_GT(result.faulted_scenarios, 0u);
+  util::Hasher spec_digest;
   for (const std::string& spec : specs) {
     const auto parsed = parse_spec(spec);
     ASSERT_TRUE(parsed.has_value()) << spec;
     EXPECT_EQ(format_spec(*parsed), spec);
+    spec_digest.mix_string(spec);
   }
+  // Pins of the mutant stream: every spec line above, in order, and the
+  // fold of every run fingerprint. A refactor of the mutator, clamp,
+  // normalize or shrinker must leave both unchanged. The vacuous-decide
+  // fix (ROADMAP 1(a)) is expected to move these pins: it changes which
+  // log runs fail, so which runs become mutation bases.
+  EXPECT_EQ(specs.size(), 2258u);
+  EXPECT_EQ(spec_digest.digest(), 0x71c5a3edbee29a53ULL);
+  EXPECT_EQ(result.corpus_digest, 0xf9bc3e485274d074ULL);
 }
 
 TEST(FuzzLargeTopology, PromotedScenariosStaySparseAndRoundTrip) {
