@@ -475,6 +475,15 @@ int main(int argc, char** argv) {
   if (cli.corpus_strict && cli.corpus_in.empty()) {
     return fail("--corpus-strict", "needs --corpus-in");
   }
+  // A spec line carries n <= kMaxScenarioNodes: a larger soak would print
+  // repro and --corpus-out lines that --replay and --corpus-in reject.
+  if (cli.soak.large_n < fuzz::kMinLargeNodes ||
+      cli.soak.large_n > fuzz::kMaxScenarioNodes) {
+    return fail("--large-n", "must be in [" +
+                                 std::to_string(fuzz::kMinLargeNodes) + ", " +
+                                 std::to_string(fuzz::kMaxScenarioNodes) +
+                                 "]");
+  }
   cli.soak.shrink_failures = !cli.no_shrink;
   return run == kReplay ? run_replay(cli) : run_soak_cli(cli);
 }

@@ -381,14 +381,6 @@ const Scenario& CoverageCorpus::select_base(util::Rng& rng) const {
   return entries_.back().scenario;  // floating-point edge: last entry
 }
 
-const Scenario& CoverageCorpus::select_partner(util::Rng& rng) const {
-  // Identical inverse-frequency weighting as select_base, as its own
-  // entry point: the partner draw must consume exactly one uniform
-  // variate regardless of how select_base evolves, so splice streams
-  // replay bit-for-bit from a soak's seed base.
-  return select_base(rng);
-}
-
 std::vector<Scenario> CoverageCorpus::entries() const {
   std::vector<Scenario> out;
   out.reserve(entries_.size());
@@ -397,68 +389,6 @@ std::vector<Scenario> CoverageCorpus::entries() const {
 }
 
 // ---- shrinking ----------------------------------------------------------
-
-namespace {
-
-[[nodiscard]] std::vector<Scenario> shrink_candidates(const Scenario& s) {
-  std::vector<Scenario> out;
-  /// Queues a copy of `s` with `edit` applied, unless normalizing undoes it.
-  const auto add = [&](const auto& edit) {
-    Scenario cand = s;
-    edit(cand);
-    normalize_scenario(cand);
-    if (format_spec(cand) != format_spec(s)) out.push_back(std::move(cand));
-  };
-  /// One candidate per entry of a list member, with that entry removed.
-  const auto drop_each = [&](auto list) {
-    for (std::size_t i = 0; i < (s.*list).size(); ++i) {
-      add([&](Scenario& c) {
-        (c.*list).erase((c.*list).begin() + static_cast<std::ptrdiff_t>(i));
-      });
-    }
-  };
-  // Biggest reductions first: the greedy loop restarts after every
-  // acceptance, so early wins compound.
-  if (s.n >= 4) add([&](Scenario& c) { c.n = s.n / 2; });
-  if (s.n >= 3) add([&](Scenario& c) { c.n = s.n - 1; });
-  drop_each(&Scenario::crashes);
-  drop_each(&Scenario::holds);
-  drop_each(&Scenario::script);
-  // Fault-plan reduction toward the empty plan: drop each window, zero
-  // each rate, and collapse per-receiver script slots back to uniform.
-  drop_each(&Scenario::faults);
-  for (const auto rate : kFaultRates) {
-    if (s.*rate != 0) add([&](Scenario& c) { c.*rate = 0; });
-  }
-  for (std::size_t i = 0; i < s.script.size(); ++i) {
-    if (s.script[i].delays.empty()) continue;
-    add([&](Scenario& c) { c.script[i].delays.clear(); });  // uniform `recv`
-    for (std::size_t j = 0; j < s.script[i].delays.size(); ++j) {
-      add([&](Scenario& c) {
-        auto& delays = c.script[i].delays;
-        delays.erase(delays.begin() + static_cast<std::ptrdiff_t>(j));
-      });
-    }
-  }
-  if (s.fack > 1) {
-    add([&](Scenario& c) { c.fack = s.fack / 2; });
-    add([&](Scenario& c) { c.fack = s.fack - 1; });
-  }
-  // Log-service knobs. Leaving the family entirely (log_ops = 0) is the
-  // biggest reduction when the failure isn't service-specific; the halving
-  // probes use normalize's [1, ...] floors, deliberately below the mutation
-  // envelope's — a minimal repro may be smaller than anything the soak
-  // would generate.
-  if (s.log_ops > 0) {
-    add([](Scenario& c) { c.log_ops = 0; });
-    for (const auto knob : kLogKnobs) {
-      if (s.*knob > 1) add([&](Scenario& c) { c.*knob = s.*knob / 2; });
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
                              const RunOptions& options,
@@ -475,23 +405,25 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
   ++res.attempts;
   AMAC_EXPECTS(res.report.failure == kind);
 
-  /// Runs one candidate against the budget; non-null iff it still fails
-  /// with the same kind.
-  const auto try_candidate =
-      [&](const Scenario& cand) -> std::optional<RunReport> {
-    if (res.attempts >= shrink.max_attempts) return std::nullopt;
+  /// Runs one candidate against the budget and keeps it iff it still
+  /// fails with the same kind.
+  const auto try_commit = [&](Scenario cand) {
+    if (res.attempts >= shrink.max_attempts) return false;
     ++res.attempts;
     RunReport rep = run_scenario(cand, run_options);
-    if (rep.failure != kind) return std::nullopt;
-    return rep;
+    if (rep.failure != kind) return false;
+    res.scenario = std::move(cand);
+    res.report = std::move(rep);
+    ++res.reductions;
+    return true;
   };
 
   /// Phase 2 worker: binary search for the smallest value in [floor,
   /// current) that still reproduces the failure, committing every
   /// successful probe. For monotone failures the committed value is the
   /// exact threshold: one less provably does not reproduce.
-  const auto minimize_value =
-      [&](mac::Time floor, mac::Time current, const auto& set) -> bool {
+  const auto minimize_value = [&](mac::Time floor, mac::Time current,
+                                  const ValueSetter& set) {
     bool reduced = false;
     mac::Time lo = floor;
     mac::Time hi = current;
@@ -500,10 +432,7 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
       Scenario cand = res.scenario;
       set(cand, mid);
       normalize_scenario(cand);
-      if (auto rep = try_candidate(cand)) {
-        res.scenario = std::move(cand);
-        res.report = std::move(*rep);
-        ++res.reductions;
+      if (try_commit(std::move(cand))) {
         reduced = true;
         hi = mid;
       } else {
@@ -522,77 +451,17 @@ ShrinkResult shrink_scenario(const Scenario& s, FailureKind kind,
     while (improved && res.attempts < shrink.max_attempts) {
       improved = false;
       for (const Scenario& cand : shrink_candidates(res.scenario)) {
-        if (auto rep = try_candidate(cand)) {
-          res.scenario = cand;
-          res.report = std::move(*rep);
-          ++res.reductions;
-          improved = true;
-          progress = true;
+        if (try_commit(cand)) {
+          improved = progress = true;
           break;  // restart the candidate scan from the smaller scenario
         }
-        if (res.attempts >= shrink.max_attempts) break;
       }
     }
-    if (!shrink.minimize_values) break;
 
-    // Phase 2: schedule-space value minimization over what survived.
-    // Value edits never change entry counts, so indexing by position is
-    // stable across the pass; a successful pass loops back to phase 1
-    // (a smaller release can unlock further structural drops).
-    const auto minimize_entries = [&](auto list, auto value) {
-      for (std::size_t i = 0; i < (res.scenario.*list).size(); ++i) {
-        progress |= minimize_value(
-            0, (res.scenario.*list)[i].*value,
-            [=](Scenario& c, mac::Time v) { (c.*list)[i].*value = v; });
-      }
-    };
-    minimize_entries(&Scenario::holds, &HoldSpec::release);
-    minimize_entries(&Scenario::crashes, &CrashSpec::when);
-    // Scripted slots: receive delay toward 1, then ack toward the (possibly
-    // just-shrunk) receive delay — normalize keeps recv <= ack throughout.
-    for (std::size_t i = 0; i < res.scenario.script.size(); ++i) {
-      progress |= minimize_value(
-          1, res.scenario.script[i].recv,
-          [i](Scenario& c, mac::Time v) { c.script[i].recv = v; });
-      progress |= minimize_value(
-          res.scenario.script[i].recv, res.scenario.script[i].ack,
-          [i](Scenario& c, mac::Time v) { c.script[i].ack = v; });
-      // Per-receiver listed delays toward 1 (position-stable: normalize
-      // keeps them receiver-sorted and receivers are unique).
-      for (std::size_t j = 0; j < res.scenario.script[i].delays.size();
-           ++j) {
-        progress |= minimize_value(
-            1, res.scenario.script[i].delays[j].second,
-            [i, j](Scenario& c, mac::Time v) {
-              c.script[i].delays[j].second = v;
-            });
-      }
-    }
-    // Fault plans: rates binary-search toward 0 (the fault-free envelope),
-    // finite drop windows narrow toward a single tick. kForever windows
-    // carry no searchable value; phase 1's removal candidates cover them.
-    for (const auto rate : kFaultRates) {
-      progress |= minimize_value(0, res.scenario.*rate,
-                                 [rate](Scenario& c, mac::Time v) {
-                                   c.*rate = static_cast<std::uint32_t>(v);
-                                 });
-    }
-    for (std::size_t i = 0; i < res.scenario.faults.size(); ++i) {
-      const mac::Time from = res.scenario.faults[i].from_tick;
-      const mac::Time until = res.scenario.faults[i].until_tick;
-      if (until == mac::kForever) continue;
-      progress |= minimize_value(
-          from + 1, until,
-          [i](Scenario& c, mac::Time v) { c.faults[i].until_tick = v; });
-    }
-    // Scripted scenarios derive fack from their slots (normalize), so a
-    // direct fack probe would re-run an identical spec; the slot passes
-    // above already minimized it.
-    if (res.scenario.scheduler != SchedulerKind::kScripted) {
-      progress |= minimize_value(
-          1, res.scenario.fack,
-          [](Scenario& c, mac::Time v) { c.fack = v; });
-    }
+    // Phase 2: schedule-space value minimization over what survived; a
+    // successful pass loops back to phase 1 (a smaller release can unlock
+    // further structural drops).
+    progress |= search_values(res.scenario, minimize_value);
   }
   return res;
 }
@@ -686,10 +555,10 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
       const Scenario& base = corpus.select_base(mutate_rng);
       const Scenario* splice = nullptr;
       if (corpus.size() > 1 && mutate_rng.chance(0.35)) {
-        // Partner selection is rarity-weighted too (same inverse-frequency
-        // draw as the base), so splices import structure from the
-        // frontier rather than from whichever signature floods the pool.
-        splice = &corpus.select_partner(mutate_rng);
+        // The partner is drawn the same rarity-weighted way, so splices
+        // import structure from the frontier rather than from whichever
+        // signature floods the pool.
+        splice = &corpus.select_base(mutate_rng);
       }
       s = mutate_scenario(base, splice, mutate_rng);
       mutated = true;
@@ -765,7 +634,7 @@ ShardSoakResult run_soak_shard(const SoakOptions& options,
       ++result.faulted_scenarios;
     }
     // Family membership, not promotion: mutants that entered via the
-    // kLogService op and pre-seeded log corpus entries count too.
+    // log-service op and pre-seeded log corpus entries count too.
     if (s.log_ops > 0) ++result.log_scenarios;
     out.fingerprints.push_back(report.fingerprint);
 

@@ -48,21 +48,15 @@
 // generation. Mutation bases are RARITY-WEIGHTED (CoverageCorpus::
 // select_base): an entry is drawn with probability inverse to how often
 // its signature has been hit across the soak, so the budget concentrates
-// on the thinly-explored frontier. The op set perturbs one fack/release/
-// crash tick, adds/drops/retimes a hold, splices the topology+scheduler
-// of two entries — and, since signature-space v2, perturbs SCRIPTED
-// TIMELINES: kScriptTimeline converts a base into a ScriptedScheduler
-// scenario with drawn per-broadcast slots, and retime/swap/duplicate/drop
-// ops then rearrange those slots, so the paper's hand-built
-// counterexample orderings (Theorem 3.3-style) are inside the search
-// space. Mutants are clamped back into each algorithm's guarantee
+// on the thinly-explored frontier. The op table (kMutations in
+// scenario.cpp) perturbs ticks, adds/drops crashes and holds, splices two
+// entries, and builds and rearranges SCRIPTED TIMELINES, so the paper's
+// hand-built counterexample orderings (Theorem 3.3-style) are inside the
+// search space. Mutants are clamped back into each algorithm's guarantee
 // envelope (clamp_to_envelope; inside_envelope() checks the fixpoint), so
 // a mutant violation is always a real bug. The soak summary prints the
-// coverage table ("distinct coverage signatures: N" plus engine-only /
-// protocol-dimension splits); CI asserts the mutating soak strictly
-// widens full-signature AND protocol-dimension coverage over pure
-// generation at the same budget, and that the full signature count
-// strictly exceeds its engine-only projection.
+// coverage table; CI asserts that a mutating soak reaches protocol corners
+// pure generation at the same budget misses.
 //
 // Unreliable links (signature-space v3): a scenario may carry a
 // mac::LinkFaultPlan — global drop/duplicate rates in basis points and
@@ -79,12 +73,8 @@
 // hand-written specs — so the pinned seed-only corpus digest is untouched
 // by their existence.
 //
-// Bounded-loss envelope rules (clamp_to_envelope): synchronous-only
-// algorithms get no faults at all; two-phase keeps only deferral faults
-// (zero drop rate, finite windows — permanent loss genuinely breaks its
-// agreement); wPAXOS never sees duplicate rates (acceptor responses carry
-// tallied counts with no dedup); flooding and Ben-Or take arbitrary loss
-// and duplication. Termination is demanded only of fault-free or
+// The bounded-loss envelope rules per algorithm sit with faults_allowed in
+// scenario.cpp. Termination is demanded only of fault-free or
 // deferral-only scenarios (rates zero, every window finite);
 // agreement/validity stay demanded ALWAYS. The Lemma 4.2 monitor assumes
 // reliable delivery, so it is gated off whenever the plan is non-empty.
@@ -112,7 +102,7 @@
 // post-crash re-election — instead of a one-shot instance. `--log-every K`
 // promotes every K-th generated scenario into the family
 // (fuzz::promote_to_log_service, knobs drawn from the scenario's seed), and
-// the kLogService/kPerturbLogKnobs mutation ops enter and explore it from
+// the log-service and perturb-log-knob mutation ops enter and explore it from
 // the corpus; the generator itself never draws it, so the pinned seed-only
 // corpus digest is untouched. Service runs are judged by the service's own
 // per-slot oracle PLUS a log-level one: verify::check_log_prefix folds each
@@ -146,11 +136,9 @@
 // kSignatureSpaceVersion whenever a signature dimension is added/removed/
 // re-bucketed so stale frontiers are dropped.
 //
-// Shrinking is two-phase: greedy structural reduction (drop crashes/holds,
-// shrink n, halve fack) followed by schedule-space value minimization —
-// each surviving hold release and crash time is binary-searched toward 0
-// (and fack toward 1), so the printed minimal spec carries threshold
-// VALUES, not just the fewest entries: a hold at release=37 in a minimal
+// Shrinking (shrink_scenario) is two-phase: greedy structural reduction,
+// then a binary search of every surviving value toward its floor, so the
+// minimal spec carries threshold VALUES: a hold at release=37 in a minimal
 // repro means 36 provably does not reproduce (for monotone failures).
 //
 // Sharded parallel soak: --jobs N partitions the seed range into N
@@ -199,13 +187,12 @@
 // envelope (topology/scheduler/crash constraints) plus clamp_to_envelope
 // the same constraints; a new scheduler joins via SchedulerKind + its name
 // in the scheduler name array + build_scenario. A new Scenario field joins
-// the spec language as ONE row of the spec field table (kSpecFields in
-// scenario.cpp), which drives both format_spec and parse_spec; a new list
-// or rate field is one more entry in the shrinker's loops (the list
-// members, kFaultRates, kLogKnobs). Everything downstream — oracle,
-// differential replay, coverage signatures, mutation, shrinking, soak
-// lane, repro specs — is inherited. A new engine-path counter becomes a
-// coverage dimension by extending CoverageSignature and
+// the spec language as ONE row of the spec field table (kSpecFields) and
+// the mutator, envelope and shrinker as ONE row of the knob registry (both
+// in scenario.cpp; scenario.hpp names the registry's columns). Everything
+// downstream — oracle, differential replay, coverage signatures, mutation,
+// shrinking, soak lane, repro specs — is inherited. A new engine-path
+// counter becomes a coverage dimension by extending CoverageSignature and
 // coverage_signature(); a new ALGORITHM observable becomes one by
 // overriding mac::Process::protocol_stats and bucketing the field here.
 // Either way, bump kSignatureSpaceVersion.
@@ -439,17 +426,10 @@ class CoverageCorpus {
   /// remembering its signature key for rarity weighting.
   void admit(const Scenario& s, std::uint64_t sig_key = 0);
 
-  /// Rarity-weighted draw of a mutation base (see class comment).
-  /// Deterministic given the rng state. Requires size() > 0.
+  /// Rarity-weighted draw of a mutation base or splice partner (see class
+  /// comment): one uniform variate per draw, so the mutant stream is
+  /// reproducible from the rng state. Requires size() > 0.
   [[nodiscard]] const Scenario& select_base(util::Rng& rng) const;
-
-  /// Rarity-weighted draw of a SPLICE PARTNER: same inverse-frequency
-  /// weighting as select_base, so cross-scenario splices pull structure
-  /// from the thinly-explored frontier instead of re-importing whatever
-  /// signature dominates the pool. Kept separate from select_base so the
-  /// base and partner draws each consume exactly one uniform variate (the
-  /// mutant stream stays reproducible spec-for-spec). Requires size() > 0.
-  [[nodiscard]] const Scenario& select_partner(util::Rng& rng) const;
 
   /// How often a signature key has been observed (0 if never).
   [[nodiscard]] std::uint64_t hits(std::uint64_t sig_key) const;
@@ -485,10 +465,6 @@ class CoverageCorpus {
 
 struct ShrinkOptions {
   std::size_t max_attempts = 150;  ///< total candidate re-runs
-  /// Phase 2 (schedule-space value minimization): binary-search each
-  /// surviving hold release and crash time toward 0 and fack toward 1.
-  /// On by default; off reproduces the PR-2 structural-only shrinker.
-  bool minimize_values = true;
 };
 
 struct ShrinkResult {
@@ -498,15 +474,13 @@ struct ShrinkResult {
   std::size_t reductions = 0;  ///< accepted shrink steps
 };
 
-/// Two-phase scenario minimization. Phase 1 (structural, greedy):
-/// repeatedly tries dropping crashes and holds, halving/decrementing n,
-/// and lowering the delay bound, keeping any transform after which the run
-/// still fails with the SAME FailureKind. Phase 2 (schedule-space, when
-/// ShrinkOptions::minimize_values): binary-searches each surviving hold
-/// release and crash time toward 0 and fack toward 1, so the minimal spec
-/// carries threshold values — for monotone failures, decrementing any
-/// minimized value makes the violation disappear. The phases alternate
-/// until a fixpoint or the attempt budget runs out.
+/// Two-phase scenario minimization. Phase 1 (structural, greedy) takes the
+/// first of shrink_candidates after which the run still fails with the
+/// SAME FailureKind, and repeats. Phase 2 binary-searches every value
+/// search_values names toward its floor, so the minimal spec carries
+/// threshold values — for monotone failures, decrementing any minimized
+/// value makes the violation disappear. The phases alternate until a
+/// fixpoint or the attempt budget runs out.
 /// Requires run_scenario(s, options).failure == kind.
 [[nodiscard]] ShrinkResult shrink_scenario(const Scenario& s,
                                            FailureKind kind,
@@ -555,7 +529,7 @@ struct SoakOptions {
   /// carry the soak's fault envelope too; keyed off the GLOBAL run index,
   /// so the promoted set is identical across job counts.
   std::size_t large_every = 0;
-  std::size_t large_n = 4096;
+  std::size_t large_n = 4096;  ///< in [kMinLargeNodes, kMaxScenarioNodes]
   /// Every k-th GENERATED (never mutated) scenario is rewritten into the
   /// log-service family via promote_to_log_service (--log-every). 0 (the
   /// default) disables promotion — the pinned corpus digest depends on
@@ -703,7 +677,8 @@ struct SoakShard {
 
 /// Everything one shard observed, carrying both its local SoakResult and
 /// the raw material the canonical merge needs (per-run fingerprints in
-/// seed order, per-key signature structs, projection key sets). Self-contained: two shards share no state, so shards may run on
+/// seed order, per-key signature structs, projection key sets).
+/// Self-contained: two shards share no state, so shards may run on
 /// concurrent threads and merge in any completion order.
 struct ShardSoakResult {
   std::size_t shard_index = 0;

@@ -7,6 +7,9 @@
 #include <initializer_list>
 #include <iterator>
 #include <limits>
+#include <span>
+#include <tuple>
+#include <type_traits>
 
 #include "net/topologies.hpp"
 #include "util/hash.hpp"
@@ -101,6 +104,344 @@ constexpr std::uint64_t kLogSalt = 0x10654A17;
   return a == Algorithm::kTwoPhase || a == Algorithm::kBenOr;
 }
 
+/// The scenario runs the replicated log instead of a one-shot instance.
+[[nodiscard]] bool log_family(const Scenario& s) { return s.log_ops > 0; }
+
+// Mutation value bounds. Wider than the generator's draw ranges on purpose
+// (that is where the new coverage lives) but small enough that a mutant
+// still runs in fuzz-soak time: releases stay inside the wheel's resizable
+// horizon and crash times inside every horizon the clamp can pick.
+constexpr mac::Time kMaxMutatedFack = 64;
+constexpr mac::Time kMaxMutatedRelease = 4000;
+constexpr mac::Time kMaxMutatedCrashTime = 5000;
+constexpr std::size_t kMaxMutatedHolds = 6;
+constexpr std::size_t kMaxMutatedCrashes = 4;
+constexpr std::uint32_t kMaxMutatedNodes = 24;
+// Scripted-timeline bounds: slots stay few (unscripted broadcasts fall back
+// to lock-step, so a handful of slots already builds the paper's
+// counterexample shapes), indices reachable in soak time, acks inside the
+// wheel's initial span so scripted runs stress the batch path, not the heap.
+constexpr std::size_t kMaxScriptSlots = 6;
+constexpr std::uint32_t kMaxScriptIndex = 12;
+constexpr mac::Time kMaxScriptAck = 32;
+// Link-fault bounds: a handful of windows inside the wheel's resizable
+// horizon already builds partition-and-heal shapes, and rates cap at 20%
+// so faulted soak runs still make protocol progress worth covering.
+constexpr std::size_t kMaxFaultWindows = 4;
+constexpr mac::Time kMaxFaultTick = 4000;
+constexpr std::uint32_t kMaxFaultRateBp = 2000;
+// Service runs cap n well under the engine's 4096-instance-id/kLeaderBits
+// ceilings — derived topology counts can overshoot s.n a little.
+constexpr std::uint32_t kMaxLogNodes = 2048;
+
+[[nodiscard]] mac::Time clamp_time(mac::Time t, mac::Time lo, mac::Time hi) {
+  return t < lo ? lo : (t > hi ? hi : t);
+}
+
+/// Crash-tolerant flooding and wPAXOS take a few crashes, Ben-Or its f,
+/// crash-intolerant algorithms none.
+[[nodiscard]] std::size_t crash_cap(const Scenario& s) {
+  if (s.algorithm == Algorithm::kBenOr) return s.benor_f;
+  const bool tolerant = s.algorithm == Algorithm::kFlooding ||
+                        s.algorithm == Algorithm::kWPaxos;
+  return tolerant ? kMaxMutatedCrashes : 0;
+}
+
+// Link-fault envelope per algorithm. Faults only go where SAFETY survives
+// them (termination_expected separately withdraws the liveness demand on
+// lossy plans), so a faulted mutant violation is a real bug:
+//   * synchronous-only algorithms (Theorems 3.3/3.9) get no faults at all —
+//     under them any asynchrony is an expected counterexample;
+//   * two-phase loses agreement under permanent loss (a decided node's
+//     phase-1 and phase-2 messages can both vanish toward one witness, which
+//     then completes its witness wait on the other value), so it keeps only
+//     deferral faults: zero drop rate, finite windows;
+//   * wpaxos acceptor responses carry tallied counts with no dedup, so
+//     duplicate faults are withheld; loss is safe (monotone acceptor state
+//     plus quorum intersection);
+//   * flooding and Ben-Or tolerate arbitrary loss and duplication.
+[[nodiscard]] bool faults_allowed(const Scenario& s) {
+  // The log service owns its Network and exposes no LinkFaultPlan seam, so
+  // the log family carries no faults.
+  return !synchronous_only(s.algorithm) && !log_family(s);
+}
+
+[[nodiscard]] bool permanent_loss_allowed(const Scenario& s) {
+  return faults_allowed(s) && s.algorithm != Algorithm::kTwoPhase;
+}
+
+[[nodiscard]] bool duplicates_allowed(const Scenario& s) {
+  return faults_allowed(s) && s.algorithm != Algorithm::kWPaxos;
+}
+
+// ---- the knob registry ----------------------------------------------------
+//
+// normalize_scenario, clamp_to_envelope, the generic mutation ops and both
+// shrink phases loop over these rows: scalar knobs in kKnobs, lists in
+// kLists. A new knob is one row.
+
+struct Range {
+  std::uint64_t lo = 0, hi = std::numeric_limits<std::uint64_t>::max();
+};
+
+/// Phase-1 shrink moves of a scalar knob (bit flags, tried in this order).
+enum ShrinkMove : std::uint8_t {
+  kRemove = 1,  ///< the inert value, among the list-entry removals
+  kLeave = 2,   ///< the inert value, first among the reductions
+  kHalve = 4,   ///< half the value, when above 1
+  kStep = 8,    ///< one less, when above 1
+};
+
+struct Knob {
+  std::uint64_t (*get)(const Scenario&) = nullptr;
+  void (*set)(Scenario&, std::uint64_t) = nullptr;
+  /// Outside the log family a log-only knob is dead: normalize resets it
+  /// to `inert`, so specs stay canonical.
+  bool log_only = false;
+  std::uint64_t inert = 0;
+  Range normal{};  ///< normalize keeps a live value here (phase-2 floor: lo)
+  Range bounds{};  ///< mutation bounds: the envelope and the perturb ops
+  /// Envelope condition beyond liveness; outside it the knob is inert.
+  bool (*allowed)(const Scenario&) = nullptr;
+  /// The value other fields imply, if any: normalize applies it, mutation
+  /// and phase 2 leave the knob alone.
+  std::optional<std::uint64_t> (*derive)(const Scenario&) = nullptr;
+  /// Entry draws: the log-service op from `enter`, promote_to_log_service
+  /// from [promote_lo, enter.hi].
+  Range enter{0, 0};
+  std::uint64_t promote_lo = 0;
+  std::uint8_t shrink = 0;  ///< ShrinkMove flags
+  /// Phase 2 searches rows by ascending rank, lists before knobs within a
+  /// rank; 0 is never searched.
+  std::uint8_t minimize = 0;
+};
+
+template <auto Member>
+constexpr Knob knob(Knob row) {
+  row.get = [](const Scenario& s) -> std::uint64_t { return s.*Member; };
+  row.set = [](Scenario& s, std::uint64_t v) {
+    s.*Member = static_cast<std::remove_reference_t<decltype(s.*Member)>>(v);
+  };
+  return row;
+}
+
+/// Scripted scenarios derive fack from their slots: the largest ack, with
+/// the synchronous length-1 fallback.
+std::optional<std::uint64_t> scripted_fack(const Scenario& s) {
+  if (s.scheduler != SchedulerKind::kScripted) return std::nullopt;
+  mac::Time max_ack = 1;
+  for (const auto& t : s.script) max_ack = std::max(max_ack, t.ack);
+  return max_ack;
+}
+
+// Log-service bounds: every slot is a full consensus instance, so ops stay
+// soak-sized; batch/window stay small enough that pipelining and stalls
+// interleave, and leases stay short so renewals — and re-elections after a
+// leader crash — happen several times per run. A minimal repro may go
+// below them (normalize's ranges), or leave the family (log_ops = 0).
+constexpr Knob kKnobs[] = {
+    knob<&Scenario::fack>({.normal = {1}, .bounds = {1, kMaxMutatedFack},
+                           .derive = scripted_fack, .shrink = kHalve | kStep,
+                           .minimize = 6}),
+    knob<&Scenario::drop_rate_bp>({.bounds = {0, kMaxFaultRateBp},
+                                   .allowed = permanent_loss_allowed,
+                                   .shrink = kRemove, .minimize = 4}),
+    knob<&Scenario::dup_rate_bp>({.bounds = {0, kMaxFaultRateBp},
+                                  .allowed = duplicates_allowed,
+                                  .shrink = kRemove, .minimize = 4}),
+    knob<&Scenario::log_ops>({.log_only = true, .normal = {1, 65536},
+                              .bounds = {8, 256}, .enter = {8, 128},
+                              .promote_lo = 16, .shrink = kLeave | kHalve}),
+    knob<&Scenario::log_batch>({.log_only = true, .inert = 8,
+                                .normal = {1, 4096}, .bounds = {1, 16},
+                                .enter = {1, 8}, .promote_lo = 1,
+                                .shrink = kHalve}),
+    knob<&Scenario::log_window>({.log_only = true, .inert = 4,
+                                 .normal = {1, 256}, .bounds = {1, 8},
+                                 .enter = {1, 4}, .promote_lo = 1,
+                                 .shrink = kHalve}),
+    knob<&Scenario::log_lease>({.log_only = true, .inert = 64,
+                                .normal = {1, 65536}, .bounds = {1, 32},
+                                .enter = {1, 16}, .promote_lo = 2,
+                                .shrink = kHalve}),
+};
+constexpr std::size_t kFackKnob = 0;
+/// The log-family rows, in `log=ops@batch@window@lease` spec order: the
+/// tail of kKnobs.
+constexpr std::size_t kLogKnob = 3;
+constexpr std::span<const Knob> kLogRows =
+    std::span(kKnobs).subspan<kLogKnob>();
+static_assert(std::ranges::none_of(std::span(kKnobs).first<kLogKnob>(),
+                                   std::identity{}, &Knob::log_only) &&
+              std::ranges::all_of(kLogRows, std::identity{}, &Knob::log_only));
+
+[[nodiscard]] bool live(const Knob& k, const Scenario& s) {
+  return !k.log_only || log_family(s);
+}
+/// Mutation and phase 2 change only live knobs that nothing derives.
+[[nodiscard]] bool free_knob(const Knob& k, const Scenario& s) {
+  return live(k, s) && !(k.derive && k.derive(s));
+}
+
+/// A value shrink phase 2 searches down toward `floor`.
+struct Slot {
+  mac::Time floor, *value;
+};
+
+template <typename E>
+struct ListRow {
+  std::vector<E> Scenario::*list;
+  /// normalize: clears, filters and trims the list for `count` nodes.
+  void (*normalize)(const Scenario& s, std::vector<E>& list,
+                    std::size_t count);
+  /// clamp_to_envelope: caps the list's size and each entry's values.
+  void (*clamp)(const Scenario& s, std::vector<E>& list);
+  std::size_t keep;  ///< the remove op leaves at least this many entries
+  Range perturb;     ///< the perturb op keeps value 0 of an entry here
+  /// Searchable value k = 0, 1, ... of an entry, in phase-2 order.
+  std::optional<Slot> (*value)(E& e, std::size_t k);
+  /// Applies phase-1 simplification k to an entry; false if none.
+  bool (*simplify)(E& e, std::size_t k);
+  std::uint8_t minimize;  ///< phase-2 rank
+};
+
+template <typename E>
+void truncate(std::vector<E>& list, std::size_t cap) {
+  if (list.size() > cap) list.resize(cap);
+}
+template <typename E>
+void erase_at(std::vector<E>& list, std::size_t i) {
+  list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+/// Per-receiver delays as ScriptedScheduler reads them: in range,
+/// later-wins, receiver-sorted, in [1, ack], `recv` mirroring the largest.
+void canonical_slot(ScriptSlot& t, std::size_t count) {
+  if (t.ack < 1) t.ack = 1;
+  using Delay = std::pair<NodeId, mac::Time>;
+  auto& d = t.delays;
+  std::erase_if(d, [&](const Delay& rd) { return rd.first >= count; });
+  for (auto& [receiver, delay] : d) delay = clamp_time(delay, 1, t.ack);
+  std::reverse(d.begin(), d.end());  // so std::unique keeps the latest
+  std::ranges::stable_sort(d, {}, &Delay::first);
+  const auto dup = std::ranges::unique(d, {}, &Delay::first);
+  d.erase(dup.begin(), dup.end());
+  t.recv = d.empty() ? clamp_time(t.recv, 1, t.ack)
+                     : std::ranges::max(d, {}, &Delay::second).second;
+}
+
+constexpr std::tuple kLists{
+    ListRow<CrashSpec>{
+        &Scenario::crashes,
+        // Ben-Or keeps at most f crashes (normalize lowers f first).
+        [](const Scenario& s, std::vector<CrashSpec>& l, std::size_t count) {
+          std::erase_if(l, [&](const auto& c) { return c.node >= count; });
+          if (s.algorithm == Algorithm::kBenOr) truncate(l, s.benor_f);
+        },
+        [](const Scenario& s, std::vector<CrashSpec>& l) {
+          if (s.algorithm != Algorithm::kBenOr) truncate(l, crash_cap(s));
+          for (auto& c : l) {
+            c.when = clamp_time(c.when, 1, kMaxMutatedCrashTime);
+          }
+        },
+        0, {1, kMaxMutatedCrashTime},
+        [](CrashSpec& c, std::size_t k) {
+          return k ? std::nullopt : std::optional(Slot{0, &c.when});
+        },
+        nullptr, 2},
+    // Only the add op caps the hold count (at kMaxMutatedHolds).
+    ListRow<HoldSpec>{
+        &Scenario::holds,
+        [](const Scenario& s, std::vector<HoldSpec>& l, std::size_t count) {
+          if (s.scheduler != SchedulerKind::kHoldback) l.clear();
+          std::erase_if(l, [&](const auto& h) { return h.sender >= count; });
+        },
+        [](const Scenario&, std::vector<HoldSpec>& l) {
+          for (auto& h : l) {
+            h.release = clamp_time(h.release, 1, kMaxMutatedRelease);
+          }
+        },
+        0, {2, kMaxMutatedRelease},
+        [](HoldSpec& h, std::size_t k) {
+          return k ? std::nullopt : std::optional(Slot{0, &h.release});
+        },
+        nullptr, 1},
+    // The remove op keeps one slot: a slotless scripted scenario is just
+    // the synchronous scheduler in disguise.
+    ListRow<ScriptSlot>{
+        &Scenario::script,
+        [](const Scenario& s, std::vector<ScriptSlot>& l, std::size_t count) {
+          if (s.scheduler != SchedulerKind::kScripted) l.clear();
+          std::erase_if(l, [&](const auto& t) { return t.sender >= count; });
+          for (auto& t : l) canonical_slot(t, count);
+        },
+        [](const Scenario&, std::vector<ScriptSlot>& l) {
+          truncate(l, kMaxScriptSlots);
+          for (auto& t : l) {
+            t.index = std::min(t.index, kMaxScriptIndex);
+            t.ack = clamp_time(t.ack, 1, kMaxScriptAck);
+            t.recv = clamp_time(t.recv, 1, t.ack);
+            for (auto& [r, d] : t.delays) d = clamp_time(d, 1, t.ack);
+          }
+        },
+        1, {},
+        // recv toward 1, ack toward the shrunk recv, each delay toward 1.
+        [](ScriptSlot& t, std::size_t k) -> std::optional<Slot> {
+          if (k < 2) return k == 0 ? Slot{1, &t.recv} : Slot{t.recv, &t.ack};
+          if (k - 2 >= t.delays.size()) return std::nullopt;
+          return Slot{1, &t.delays[k - 2].second};
+        },
+        // Back to the uniform `recv` (k = 0), or drop listed receiver k - 1.
+        [](ScriptSlot& t, std::size_t k) {
+          if (t.delays.empty() || k > t.delays.size()) return false;
+          if (k == 0) t.delays.clear();
+          if (k > 0) erase_at(t.delays, k - 1);
+          return true;
+        },
+        3},
+    // Windows on out-of-range or self links, and finite ones that close at
+    // or before they open, are inert and dropped. Where permanent loss is
+    // not allowed a kForever window heals 64 ticks in; finite windows
+    // narrow toward a single tick.
+    ListRow<FaultSpec>{
+        &Scenario::faults,
+        [](const Scenario&, std::vector<FaultSpec>& l, std::size_t count) {
+          std::erase_if(l, [&](const FaultSpec& w) {
+            return w.from >= count || w.to >= count || w.from == w.to ||
+                   (w.until_tick != mac::kForever &&
+                    w.until_tick <= w.from_tick);
+          });
+        },
+        [](const Scenario& s, std::vector<FaultSpec>& l) {
+          truncate(l, faults_allowed(s) ? kMaxFaultWindows : 0);
+          for (auto& w : l) {
+            if (w.until_tick == mac::kForever && !permanent_loss_allowed(s)) {
+              w.until_tick = std::min(w.from_tick + 64, kMaxFaultTick);
+            }
+            w.from_tick = std::min(w.from_tick, kMaxFaultTick - 1);
+            if (w.until_tick != mac::kForever) {
+              w.until_tick =
+                  clamp_time(w.until_tick, w.from_tick + 1, kMaxFaultTick);
+            }
+          }
+        },
+        0, {},
+        [](FaultSpec& w, std::size_t k) -> std::optional<Slot> {
+          if (k > 0 || w.until_tick == mac::kForever) return std::nullopt;
+          return Slot{w.from_tick + 1, &w.until_tick};
+        },
+        nullptr, 5},
+};
+// Row indices, for the mutation op table.
+constexpr std::size_t kCrashRow = 0, kHoldRow = 1, kScriptRow = 2,
+                      kFaultRow = 3;
+
+/// Calls `f` on every list row, in kLists order.
+template <typename F>
+void for_each_list(F&& f) {
+  std::apply([&](const auto&... row) { (f(row), ...); }, kLists);
+}
+
 }  // namespace
 
 bool termination_expected(const Scenario& s) {
@@ -135,128 +476,24 @@ bool termination_expected(const Scenario& s) {
 
 void normalize_scenario(Scenario& s) {
   s.n = std::max(s.n, min_nodes(s.topology));
-  if (s.fack < 1) s.fack = 1;
-  // Log-service knobs: inert (reset to defaults, so format_spec stays
-  // canonical) outside the family, floored to well-formed values inside it.
-  // Service runs cap n well under the engine's 4096-instance-id/kLeaderBits
-  // ceilings — derived topology counts can overshoot s.n a little.
-  if (s.log_ops == 0) {
-    s.log_batch = 8;
-    s.log_window = 4;
-    s.log_lease = 64;
-  } else {
-    s.log_ops = std::min<std::uint32_t>(s.log_ops, 65536);
-    s.log_batch = std::clamp<std::uint32_t>(s.log_batch, 1, 4096);
-    s.log_window = std::clamp<std::uint32_t>(s.log_window, 1, 256);
-    s.log_lease = std::clamp<std::uint32_t>(s.log_lease, 1, 65536);
-    s.n = std::min<std::uint32_t>(s.n, 2048);
-  }
-  if (s.scheduler != SchedulerKind::kHoldback) {
-    s.holds.clear();
-    s.late_holds = false;
-  }
-  if (s.scheduler != SchedulerKind::kScripted) s.script.clear();
+  if (log_family(s)) s.n = std::min(s.n, kMaxLogNodes);
+  if (s.scheduler != SchedulerKind::kHoldback) s.late_holds = false;
   const std::size_t count = build_graph(s).node_count();
-  std::erase_if(s.crashes, [&](const CrashSpec& c) { return c.node >= count; });
-  std::erase_if(s.holds, [&](const HoldSpec& h) { return h.sender >= count; });
-  std::erase_if(s.script,
-                [&](const ScriptSlot& t) { return t.sender >= count; });
-  // Fault windows on out-of-range or self links are inert; so are finite
-  // windows that close at or before they open. Dropping them keeps the
-  // shrinker's "remove a window" steps canonical.
-  std::erase_if(s.faults, [&](const FaultSpec& w) {
-    return w.from >= count || w.to >= count || w.from == w.to ||
-           (w.until_tick != mac::kForever && w.until_tick <= w.from_tick);
-  });
-  if (s.scheduler == SchedulerKind::kScripted) {
-    // Slot well-formedness mirrors ScriptedScheduler's contracts; the
-    // scenario's fack mirrors the scheduler's effective bound (max scripted
-    // ack, with the synchronous length-1 fallback), so decide-round
-    // bucketing and spec lines stay meaningful. Per-receiver slots are
-    // canonicalized: out-of-range receivers dropped, later-wins dedupe,
-    // receiver-sorted, delays clamped into [1, ack], and `recv` mirrors the
-    // largest listed delay (ScriptedScheduler gives unlisted receivers
-    // delay 1).
-    mac::Time max_ack = 1;
-    for (auto& t : s.script) {
-      if (t.ack < 1) t.ack = 1;
-      if (!t.delays.empty()) {
-        std::vector<std::pair<NodeId, mac::Time>> kept;
-        for (const auto& [receiver, delay] : t.delays) {
-          if (receiver >= count) continue;
-          const mac::Time d = std::clamp<mac::Time>(delay, 1, t.ack);
-          bool replaced = false;
-          for (auto& k : kept) {
-            if (k.first == receiver) {
-              k.second = d;  // later-wins, like ScriptedScheduler's scan
-              replaced = true;
-            }
-          }
-          if (!replaced) kept.emplace_back(receiver, d);
-        }
-        std::sort(kept.begin(), kept.end());
-        t.delays = std::move(kept);
-      }
-      if (t.delays.empty()) {
-        if (t.recv < 1) t.recv = 1;
-        if (t.recv > t.ack) t.recv = t.ack;
-      } else {
-        t.recv = 1;
-        for (const auto& [receiver, delay] : t.delays) {
-          t.recv = std::max(t.recv, delay);
-        }
-      }
-      max_ack = std::max(max_ack, t.ack);
-    }
-    s.fack = max_ack;
-  }
   if (s.algorithm == Algorithm::kBenOr) {
-    const std::size_t max_f = (count - 1) / 2;
-    s.benor_f = std::min(s.benor_f, max_f);
-    if (s.crashes.size() > s.benor_f) s.crashes.resize(s.benor_f);
+    s.benor_f = std::min(s.benor_f, (count - 1) / 2);
+  }
+  for_each_list(
+      [&](const auto& row) { row.normalize(s, s.*row.list, count); });
+  for (const Knob& k : kKnobs) {
+    k.set(s, live(k, s) ? std::clamp(k.get(s), k.normal.lo, k.normal.hi)
+                        : k.inert);
+    if (const auto v = k.derive ? k.derive(s) : std::nullopt) k.set(s, *v);
   }
 }
 
 // ---- mutation -----------------------------------------------------------
 
 namespace {
-
-// Mutation value bounds. Wider than the generator's draw ranges on purpose
-// (that is where the new coverage lives) but small enough that a mutant
-// still runs in fuzz-soak time: releases stay inside the wheel's resizable
-// horizon and crash times inside every horizon the clamp can pick.
-constexpr mac::Time kMaxMutatedFack = 64;
-constexpr mac::Time kMaxMutatedRelease = 4000;
-constexpr mac::Time kMaxMutatedCrashTime = 5000;
-constexpr std::size_t kMaxMutatedHolds = 6;
-constexpr std::size_t kMaxMutatedCrashes = 4;
-constexpr std::uint32_t kMaxMutatedNodes = 24;
-// Scripted-timeline bounds: slots stay few (unscripted broadcasts fall back
-// to lock-step, so a handful of slots already builds the paper's
-// counterexample shapes), indices reachable in soak time, acks inside the
-// wheel's initial span so scripted runs stress the batch path, not the heap.
-constexpr std::size_t kMaxScriptSlots = 6;
-constexpr std::uint32_t kMaxScriptIndex = 12;
-constexpr mac::Time kMaxScriptAck = 32;
-// Link-fault bounds: a handful of windows inside the wheel's resizable
-// horizon already builds partition-and-heal shapes, and rates cap at 20%
-// so faulted soak runs still make protocol progress worth covering.
-constexpr std::size_t kMaxFaultWindows = 4;
-constexpr mac::Time kMaxFaultTick = 4000;
-constexpr std::uint32_t kMaxFaultRateBp = 2000;
-// Log-service bounds: every slot is a full consensus instance, so ops stay
-// soak-sized; batch/window stay small enough that pipelining and stalls
-// interleave, and leases stay short so renewals — and re-elections after a
-// leader crash — happen several times per run.
-constexpr std::uint32_t kMinMutatedLogOps = 8;
-constexpr std::uint32_t kMaxMutatedLogOps = 256;
-constexpr std::uint32_t kMaxMutatedLogBatch = 16;
-constexpr std::uint32_t kMaxMutatedLogWindow = 8;
-constexpr std::uint32_t kMaxMutatedLogLease = 32;
-
-[[nodiscard]] mac::Time clamp_time(mac::Time t, mac::Time lo, mac::Time hi) {
-  return t < lo ? lo : (t > hi ? hi : t);
-}
 
 /// Halve, double, or nudge a tick value (the perturb-* ops).
 [[nodiscard]] mac::Time perturb_time(mac::Time t, util::Rng& rng) {
@@ -269,78 +506,63 @@ constexpr std::uint32_t kMaxMutatedLogLease = 32;
   }
 }
 
-[[nodiscard]] bool crashes_allowed(const Scenario& s) {
-  switch (s.algorithm) {
-    case Algorithm::kFlooding:
-    case Algorithm::kWPaxos:
-      return s.crashes.size() < kMaxMutatedCrashes;
-    case Algorithm::kBenOr:
-      return s.crashes.size() < s.benor_f;
-    default:
-      return false;  // crash-intolerant: mutants stay crash-free
-  }
+/// One mutation op, applied in place; false when it does not apply to the
+/// scenario's shape. `splice` is the optional second parent.
+using MutationFn = bool (*)(Scenario& s, const Scenario* splice,
+                            util::Rng& rng);
+
+/// Nudges one of `Count` knobs from kKnobs[First] (picked uniformly when
+/// more than one) inside its mutation bounds.
+template <std::size_t First, std::size_t Count>
+bool perturb_knob(Scenario& s, const Scenario*, util::Rng& rng) {
+  if (!free_knob(kKnobs[First], s)) return false;
+  const Knob& k = kKnobs[First + (Count > 1 ? rng.uniform(0, Count - 1) : 0)];
+  k.set(s, clamp_time(perturb_time(k.get(s), rng), k.bounds.lo, k.bounds.hi));
+  return true;
 }
 
-// Link-fault envelope per algorithm. Faults only go where SAFETY survives
-// them (termination_expected separately withdraws the liveness demand on
-// lossy plans), so a faulted mutant violation is a real bug:
-//   * synchronous-only algorithms (Theorems 3.3/3.9) get no faults at all —
-//     under them any asynchrony is an expected counterexample;
-//   * two-phase loses agreement under permanent loss (a decided node's
-//     phase-1 and phase-2 messages can both vanish toward one witness, which
-//     then completes its witness wait on the other value), so it keeps only
-//     deferral faults: zero drop rate, finite windows;
-//   * wpaxos acceptor responses carry tallied counts with no dedup, so
-//     duplicate faults are withheld; loss is safe (monotone acceptor state
-//     plus quorum intersection);
-//   * flooding and Ben-Or tolerate arbitrary loss and duplication.
-[[nodiscard]] bool faults_allowed(const Scenario& s) {
-  // The log service owns its Network and exposes no LinkFaultPlan seam, so
-  // the log family carries no faults (clamp scrubs them; the gate here just
-  // keeps fault ops from producing no-op mutants).
-  return !synchronous_only(s.algorithm) && s.log_ops == 0;
+/// Nudges field 0 of one entry of list row I.
+template <std::size_t I>
+bool perturb_entry(Scenario& s, const Scenario*, util::Rng& rng) {
+  const auto& row = std::get<I>(kLists);
+  auto& list = s.*row.list;
+  if (list.empty()) return false;
+  mac::Time& v = *row.value(list[rng.uniform(0, list.size() - 1)], 0)->value;
+  v = clamp_time(perturb_time(v, rng), row.perturb.lo, row.perturb.hi);
+  return true;
 }
 
-[[nodiscard]] bool permanent_loss_allowed(const Scenario& s) {
-  return faults_allowed(s) && s.algorithm != Algorithm::kTwoPhase;
+/// Removes one entry of list row I.
+template <std::size_t I>
+bool remove_entry(Scenario& s, const Scenario*, util::Rng& rng) {
+  const auto& row = std::get<I>(kLists);
+  auto& list = s.*row.list;
+  if (list.size() <= row.keep) return false;
+  erase_at(list, rng.uniform(0, list.size() - 1));
+  return true;
 }
 
-[[nodiscard]] bool duplicates_allowed(const Scenario& s) {
-  return faults_allowed(s) && s.algorithm != Algorithm::kWPaxos;
+bool reseed(Scenario& s, const Scenario*, util::Rng& rng) {
+  s.seed = rng.uniform(1, 999'999'999);
+  return true;
 }
 
-/// Applies `op` to `s` in place. Returns false when the op does not apply
-/// to this scenario's shape (no holds to drop, wrong scheduler, ...).
-bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
-                    util::Rng& rng) {
-  switch (op) {
-    case MutationOp::kPerturbFack:
-      // Scripted scenarios derive fack from their slots (normalize); perturb
-      // the slots instead.
-      if (s.scheduler == SchedulerKind::kScripted) return false;
-      s.fack = clamp_time(perturb_time(s.fack, rng), 1, kMaxMutatedFack);
-      return true;
-    case MutationOp::kPerturbHoldRelease: {
+/// The mutation ops, generic ones from the registry rows and the ones that
+/// depend on a shape or an algorithm written out. mutate_scenario draws an
+/// index uniformly, so an op's position is part of the pinned mutant
+/// stream, and clamps every mutant into its algorithm's envelope.
+constexpr MutationFn kMutations[] = {
+    perturb_knob<kFackKnob, 1>,  // 0: nudge/halve/double the delay bound
+    perturb_entry<kHoldRow>,     // 1: ... one hold's release tick
+    perturb_entry<kCrashRow>,    // 2: ... one crash tick
+    [](Scenario& s, const Scenario*, util::Rng& rng) {  // 3
       if (s.holds.empty()) return false;
       auto& h = s.holds[rng.uniform(0, s.holds.size() - 1)];
       h.release =
-          clamp_time(perturb_time(h.release, rng), 2, kMaxMutatedRelease);
+          clamp_time(rng.uniform(2, 40 * s.fack + 200), 2, kMaxMutatedRelease);
       return true;
-    }
-    case MutationOp::kPerturbCrashTime: {
-      if (s.crashes.empty()) return false;
-      auto& c = s.crashes[rng.uniform(0, s.crashes.size() - 1)];
-      c.when = clamp_time(perturb_time(c.when, rng), 1, kMaxMutatedCrashTime);
-      return true;
-    }
-    case MutationOp::kRetimeHold: {
-      if (s.holds.empty()) return false;
-      auto& h = s.holds[rng.uniform(0, s.holds.size() - 1)];
-      h.release = clamp_time(rng.uniform(2, 40 * s.fack + 200), 2,
-                             kMaxMutatedRelease);
-      return true;
-    }
-    case MutationOp::kAddHold: {
+    },
+    [](Scenario& s, const Scenario*, util::Rng& rng) {  // 4
       if (s.scheduler != SchedulerKind::kHoldback ||
           s.holds.size() >= kMaxMutatedHolds) {
         return false;
@@ -351,37 +573,27 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
                              kMaxMutatedRelease);
       s.holds.push_back(h);
       return true;
-    }
-    case MutationOp::kRemoveHold:
-      if (s.holds.empty()) return false;
-      s.holds.erase(s.holds.begin() + static_cast<std::ptrdiff_t>(
-                                          rng.uniform(0, s.holds.size() - 1)));
-      return true;
-    case MutationOp::kAddCrash: {
-      if (!crashes_allowed(s)) return false;
+    },
+    remove_entry<kHoldRow>,  // 5
+    [](Scenario& s, const Scenario*, util::Rng& rng) {  // 6
+      if (s.crashes.size() >= crash_cap(s)) return false;
       CrashSpec c;
       c.node = static_cast<NodeId>(rng.uniform(0, s.n - 1));
       c.when = clamp_time(rng.uniform(1, 6 * s.fack + 2 * s.n), 1,
                           kMaxMutatedCrashTime);
       s.crashes.push_back(c);
       return true;
-    }
-    case MutationOp::kRemoveCrash:
-      if (s.crashes.empty()) return false;
-      s.crashes.erase(s.crashes.begin() +
-                      static_cast<std::ptrdiff_t>(
-                          rng.uniform(0, s.crashes.size() - 1)));
-      return true;
-    case MutationOp::kToggleLateHolds:
+    },
+    remove_entry<kCrashRow>,  // 7
+    [](Scenario& s, const Scenario*, util::Rng&) {  // 8
       if (s.scheduler != SchedulerKind::kHoldback || s.holds.empty()) {
         return false;
       }
       s.late_holds = !s.late_holds;
       return true;
-    case MutationOp::kReseed:
-      s.seed = rng.uniform(1, 999'999'999);
-      return true;
-    case MutationOp::kSpliceTransport:
+    },
+    reseed,  // 9: new wiring, inputs, delays
+    [](Scenario& s, const Scenario* splice, util::Rng&) {  // 10
       if (splice == nullptr) return false;
       s.topology = splice->topology;
       s.n = splice->n;
@@ -395,14 +607,12 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       s.dup_rate_bp = splice->dup_rate_bp;
       s.faults = splice->faults;
       return true;
-    case MutationOp::kScriptTimeline: {
-      // Theorem 3.3/3.9 algorithms are only guaranteed under the
-      // synchronous scheduler; a scripted timeline would be an expected
-      // counterexample, not a bug, so they never get one. Log scenarios
-      // never get one either: scripts index a one-shot instance's
-      // broadcasts, which means nothing to a slot sequence (clamp would
-      // scrub it into a no-op mutant).
-      if (synchronous_only(s.algorithm) || s.log_ops > 0) return false;
+    },
+    // 11: switch to kScripted with a drawn timeline — never for Theorem
+    // 3.3/3.9 algorithms (an expected counterexample, not a bug) or log
+    // scenarios (scripts index a one-shot instance's broadcasts).
+    [](Scenario& s, const Scenario*, util::Rng& rng) {
+      if (synchronous_only(s.algorithm) || log_family(s)) return false;
       s.scheduler = SchedulerKind::kScripted;
       s.holds.clear();
       s.late_holds = false;
@@ -417,18 +627,18 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
         s.script.push_back(t);
       }
       return true;
-    }
-    case MutationOp::kRetimeScriptSlot: {
+    },
+    [](Scenario& s, const Scenario*, util::Rng& rng) {  // 12
       if (s.script.empty()) return false;
       auto& t = s.script[rng.uniform(0, s.script.size() - 1)];
       t.ack = rng.uniform(1, kMaxScriptAck);
       t.recv = rng.uniform(1, t.ack);
       return true;
-    }
-    case MutationOp::kSwapScriptSlots: {
-      // Exchange the delays of two slots while their (sender, index)
-      // anchors stay put: a pure timeline reordering, the shape of the
-      // paper's adversarial schedules.
+    },
+    // 13: exchange the delays of two slots while their (sender, index)
+    // anchors stay put: a pure timeline reordering, the shape of the
+    // paper's adversarial schedules.
+    [](Scenario& s, const Scenario*, util::Rng& rng) {
       if (s.script.size() < 2) return false;
       const std::size_t i = rng.uniform(0, s.script.size() - 1);
       std::size_t j = rng.uniform(0, s.script.size() - 2);
@@ -436,26 +646,16 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       std::swap(s.script[i].ack, s.script[j].ack);
       std::swap(s.script[i].recv, s.script[j].recv);
       return true;
-    }
-    case MutationOp::kDuplicateScriptSlot: {
-      if (s.script.empty() || s.script.size() >= kMaxScriptSlots) {
-        return false;
-      }
+    },
+    [](Scenario& s, const Scenario*, util::Rng& rng) {  // 14
+      if (s.script.empty() || s.script.size() >= kMaxScriptSlots) return false;
       ScriptSlot t = s.script[rng.uniform(0, s.script.size() - 1)];
-      t.index += 1;  // replay the same delays one broadcast later
+      t.index += 1;
       s.script.push_back(t);
       return true;
-    }
-    case MutationOp::kDropScriptSlot:
-      // Keep at least one slot: a slotless scripted scenario is just the
-      // synchronous scheduler in disguise (normalize can still empty the
-      // script when a shrunk topology drops every scripted sender).
-      if (s.script.size() <= 1) return false;
-      s.script.erase(s.script.begin() +
-                     static_cast<std::ptrdiff_t>(
-                         rng.uniform(0, s.script.size() - 1)));
-      return true;
-    case MutationOp::kAddDropWindow: {
+    },
+    remove_entry<kScriptRow>,  // 15
+    [](Scenario& s, const Scenario*, util::Rng& rng) {  // 16
       if (!faults_allowed(s) || s.faults.size() >= kMaxFaultWindows ||
           s.n < 2) {
         return false;
@@ -472,14 +672,9 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       }
       s.faults.push_back(w);
       return true;
-    }
-    case MutationOp::kRemoveDropWindow:
-      if (s.faults.empty()) return false;
-      s.faults.erase(s.faults.begin() +
-                     static_cast<std::ptrdiff_t>(
-                         rng.uniform(0, s.faults.size() - 1)));
-      return true;
-    case MutationOp::kWidenDropWindow: {
+    },
+    remove_entry<kFaultRow>,  // 17
+    [](Scenario& s, const Scenario*, util::Rng& rng) {  // 18
       if (s.faults.empty()) return false;
       auto& w = s.faults[rng.uniform(0, s.faults.size() - 1)];
       const bool can_earlier = w.from_tick > 0;
@@ -491,12 +686,11 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
         w.until_tick += rng.uniform(1, 64);
       }
       return true;
-    }
-    case MutationOp::kNarrowDropWindow: {
+    },
+    [](Scenario& s, const Scenario*, util::Rng& rng) {  // 19
       if (s.faults.empty()) return false;
       auto& w = s.faults[rng.uniform(0, s.faults.size() - 1)];
       if (w.until_tick == mac::kForever) {
-        // Heal the link: the infinite outage becomes a bounded one.
         w.until_tick = w.from_tick + rng.uniform(1, 64);
         return true;
       }
@@ -509,8 +703,8 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
         w.until_tick -= cut;
       }
       return true;
-    }
-    case MutationOp::kPerturbFaultRates: {
+    },
+    [](Scenario& s, const Scenario*, util::Rng& rng) {  // 20
       const bool drop_ok = permanent_loss_allowed(s);
       const bool dup_ok = duplicates_allowed(s);
       if (!drop_ok && !dup_ok) return false;
@@ -525,16 +719,14 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
               kMaxFaultRateBp,
               rate + static_cast<std::uint32_t>(rng.uniform(1, 250)));
           break;
-        default:  // back toward the fault-free envelope
-          rate /= 2;
-          break;
+        default: rate /= 2;  // back toward the fault-free envelope
       }
       return true;
-    }
-    case MutationOp::kScriptReceiverDelay: {
-      // Retime ONE receiver of a scripted slot: the uniform slot becomes a
-      // per-receiver one (unlisted receivers drop to ScriptedScheduler's
-      // delay-1 default), which is the paper's "one node hears late" shape.
+    },
+    // 21: retime ONE receiver of a scripted slot: the uniform slot becomes
+    // a per-receiver one (unlisted receivers drop to ScriptedScheduler's
+    // delay-1 default), which is the paper's "one node hears late" shape.
+    [](Scenario& s, const Scenario*, util::Rng& rng) {
       if (s.script.empty()) return false;
       auto& t = s.script[rng.uniform(0, s.script.size() - 1)];
       const NodeId receiver = static_cast<NodeId>(rng.uniform(0, s.n - 1));
@@ -548,15 +740,12 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       }
       if (!replaced) t.delays.emplace_back(receiver, delay);
       return true;
-    }
-    case MutationOp::kSpliceFaultWindows: {
-      // Window-granular crossover (contrast kSpliceTransport, which copies
-      // the partner's whole plan along with its transport): slot i of the
-      // child takes parent A's or parent B's window i by a fair coin,
-      // falling back to whichever parent still has a window there. The
-      // global rates recombine the same way, and clamp_to_envelope +
-      // normalize keep the child inside the algorithm's bounded-loss
-      // envelope (out-of-range links are dropped, not remapped).
+    },
+    // 22: window-granular crossover (contrast 10, which copies the
+    // partner's whole plan): the child's window i comes from either parent
+    // by a fair coin, falling back to whichever still has one, and the
+    // rates recombine the same way — fault timelines NEITHER parent ran.
+    [](Scenario& s, const Scenario* splice, util::Rng& rng) {
       if (splice == nullptr || !faults_allowed(s)) return false;
       if (s.faults.empty() && splice->faults.empty()) return false;
       const std::size_t slots = std::min<std::size_t>(
@@ -577,150 +766,59 @@ bool apply_mutation(Scenario& s, MutationOp op, const Scenario* splice,
       if (rng.chance(0.5)) s.drop_rate_bp = splice->drop_rate_bp;
       if (rng.chance(0.5)) s.dup_rate_bp = splice->dup_rate_bp;
       return true;
-    }
-    case MutationOp::kLogService: {
-      // Enter the replicated-log family: the mutant runs a slot sequence
-      // with elected leases instead of a one-shot instance. Crashes (and
-      // the transport) carry over; clamp applies the family envelope.
-      if (s.log_ops > 0) return false;
-      s.log_ops = static_cast<std::uint32_t>(
-          rng.uniform(kMinMutatedLogOps, kMaxMutatedLogOps / 2));
-      s.log_batch = static_cast<std::uint32_t>(rng.uniform(1, 8));
-      s.log_window = static_cast<std::uint32_t>(rng.uniform(1, 4));
-      s.log_lease = static_cast<std::uint32_t>(rng.uniform(1, 16));
-      return true;
-    }
-    case MutationOp::kPerturbLogKnobs: {
-      if (s.log_ops == 0) return false;
-      const auto nudge = [&](std::uint32_t v, std::uint32_t lo,
-                             std::uint32_t hi) {
-        return static_cast<std::uint32_t>(
-            clamp_time(perturb_time(v, rng), lo, hi));
-      };
-      switch (rng.uniform(0, 3)) {
-        case 0:
-          s.log_ops = nudge(s.log_ops, kMinMutatedLogOps, kMaxMutatedLogOps);
-          break;
-        case 1:
-          s.log_batch = nudge(s.log_batch, 1, kMaxMutatedLogBatch);
-          break;
-        case 2:
-          s.log_window = nudge(s.log_window, 1, kMaxMutatedLogWindow);
-          break;
-        default:
-          s.log_lease = nudge(s.log_lease, 1, kMaxMutatedLogLease);
-          break;
+    },
+    // 23: enter the replicated-log family: the mutant runs a slot sequence
+    // with elected leases instead of a one-shot instance. Crashes and the
+    // transport carry over; clamp applies the family envelope. (Like 11,
+    // a mutation-only entry: generated scenarios never carry log= fields,
+    // so the pinned corpus digest is unchanged.)
+    [](Scenario& s, const Scenario*, util::Rng& rng) {
+      if (log_family(s)) return false;
+      for (const Knob& k : kLogRows) {
+        k.set(s, rng.uniform(k.enter.lo, k.enter.hi));
       }
       return true;
-    }
-  }
-  AMAC_ASSERT(false);
-  return false;
-}
+    },
+    perturb_knob<kLogKnob, kLogRows.size()>,  // 24: one log knob
+};
 
 }  // namespace
 
 void clamp_to_envelope(Scenario& s) {
-  // Log-service family envelope (log_ops > 0): the service IS the wPAXOS
-  // renewal + leased CommitFlood stack, so the algorithm is pinned; it owns
-  // its Network, so per-broadcast scripts and LinkFaultPlans have no seam
-  // to thread through and are scrubbed. Crashes stay — a crash that takes
-  // the lease holder is exactly the re-election/recovery coverage this
-  // family exists for (the wPAXOS cap below still applies).
-  if (s.log_ops > 0) {
+  // Log-service family envelope: the service IS the wPAXOS renewal +
+  // leased CommitFlood stack, so the algorithm is pinned; it owns its
+  // Network, so scripts and fault plans have no seam (the list rows drop
+  // them). Crashes stay: a crash that takes the lease holder is exactly the
+  // coverage this family exists for. The contention scheduler's fack bound
+  // covers ONE instance's broadcast density; a pipelined slot sequence
+  // outruns the decode rate, so its backlog would trip the bound by design.
+  if (log_family(s)) {
     s.algorithm = Algorithm::kWPaxos;
-    if (s.scheduler == SchedulerKind::kScripted) {
-      s.scheduler = SchedulerKind::kUniformRandom;
-      s.script.clear();
-    }
-    // The contention scheduler's declared fack bound covers ONE instance's
-    // broadcast density; a pipelined slot sequence sustains arrivals above
-    // the 1-frame-per-tick decode rate, so the receiver backlog — and with
-    // it the worst delay — grows with the slot count and would trip the
-    // scheduler's bound contract by design. No static bound fits a
-    // service-length run; the family runs without that scheduler.
-    if (s.scheduler == SchedulerKind::kContention) {
+    if (s.scheduler == SchedulerKind::kScripted ||
+        s.scheduler == SchedulerKind::kContention) {
       s.scheduler = SchedulerKind::kUniformRandom;
     }
-    s.drop_rate_bp = 0;
-    s.dup_rate_bp = 0;
-    s.faults.clear();
-    s.log_ops = std::clamp<std::uint32_t>(s.log_ops, kMinMutatedLogOps,
-                                          kMaxMutatedLogOps);
-    s.log_batch = std::clamp<std::uint32_t>(s.log_batch, 1, kMaxMutatedLogBatch);
-    s.log_window =
-        std::clamp<std::uint32_t>(s.log_window, 1, kMaxMutatedLogWindow);
-    s.log_lease = std::clamp<std::uint32_t>(s.log_lease, 1, kMaxMutatedLogLease);
   }
   // Mirror generate_scenario's envelope: Theorem 3.3/3.9 algorithms are
-  // synchronous-only and crash-free; single-hop algorithms live on the
-  // clique; crashes only go where safety (or Ben-Or's f) covers them.
-  if (synchronous_only(s.algorithm)) {
-    s.scheduler = SchedulerKind::kSynchronous;
-    s.crashes.clear();
-  }
+  // synchronous-only (and, by the crash row's cap, crash-free); single-hop
+  // algorithms live on the clique.
+  if (synchronous_only(s.algorithm)) s.scheduler = SchedulerKind::kSynchronous;
   if (single_hop_only(s.algorithm)) {
     s.topology = TopologyKind::kClique;
     s.aux = 0;
-  }
-  switch (s.algorithm) {
-    case Algorithm::kFlooding:
-    case Algorithm::kWPaxos:
-      if (s.crashes.size() > kMaxMutatedCrashes) {
-        s.crashes.resize(kMaxMutatedCrashes);
-      }
-      break;
-    case Algorithm::kBenOr:
-      break;  // normalize_scenario enforces crashes <= f < n/2
-    default:
-      s.crashes.clear();  // crash-intolerant deterministic algorithms
   }
   const bool multi_ok = s.algorithm == Algorithm::kFlooding ||
                         s.algorithm == Algorithm::kWPaxos;
   if (!multi_ok && s.inputs == InputPattern::kMultivalued) {
     s.inputs = InputPattern::kSplit;
   }
-  s.fack = clamp_time(s.fack, 1, kMaxMutatedFack);
   if (s.n > kMaxMutatedNodes) s.n = kMaxMutatedNodes;
-  for (auto& h : s.holds) h.release = clamp_time(h.release, 1, kMaxMutatedRelease);
-  for (auto& c : s.crashes) c.when = clamp_time(c.when, 1, kMaxMutatedCrashTime);
-  if (s.script.size() > kMaxScriptSlots) s.script.resize(kMaxScriptSlots);
-  for (auto& t : s.script) {
-    if (t.index > kMaxScriptIndex) t.index = kMaxScriptIndex;
-    t.ack = clamp_time(t.ack, 1, kMaxScriptAck);
-    t.recv = clamp_time(t.recv, 1, t.ack);
-    for (auto& [receiver, delay] : t.delays) {
-      delay = clamp_time(delay, 1, t.ack);
-    }
+  for (const Knob& k : kKnobs) {
+    const bool allowed = live(k, s) && (!k.allowed || k.allowed(s));
+    k.set(s, allowed ? std::clamp(k.get(s), k.bounds.lo, k.bounds.hi)
+                     : k.inert);
   }
-  // Link faults stay inside each algorithm's bounded-loss envelope (see
-  // faults_allowed and friends above): synchronous-only algorithms get
-  // none, two-phase keeps only deferral faults (no permanent loss), wpaxos
-  // never sees duplicates, and rates/windows stay inside mutation bounds.
-  if (!faults_allowed(s)) {
-    s.drop_rate_bp = 0;
-    s.dup_rate_bp = 0;
-    s.faults.clear();
-  }
-  if (!permanent_loss_allowed(s)) {
-    s.drop_rate_bp = 0;
-    for (auto& w : s.faults) {
-      if (w.until_tick == mac::kForever) {
-        w.until_tick = std::min<mac::Time>(w.from_tick + 64, kMaxFaultTick);
-      }
-    }
-  }
-  if (!duplicates_allowed(s)) s.dup_rate_bp = 0;
-  s.drop_rate_bp = std::min(s.drop_rate_bp, kMaxFaultRateBp);
-  s.dup_rate_bp = std::min(s.dup_rate_bp, kMaxFaultRateBp);
-  if (s.faults.size() > kMaxFaultWindows) s.faults.resize(kMaxFaultWindows);
-  for (auto& w : s.faults) {
-    if (w.from_tick > kMaxFaultTick - 1) w.from_tick = kMaxFaultTick - 1;
-    if (w.until_tick != mac::kForever) {
-      w.until_tick =
-          std::clamp<mac::Time>(w.until_tick, w.from_tick + 1, kMaxFaultTick);
-    }
-  }
+  for_each_list([&](const auto& row) { row.clamp(s, s.*row.list); });
   normalize_scenario(s);
   // Same horizon policy as the generator: liveness runs get room, safety-
   // only runs stop once the interesting prefix has played out.
@@ -738,15 +836,93 @@ Scenario mutate_scenario(const Scenario& base, const Scenario* splice,
   Scenario s = base;
   bool applied = false;
   for (int attempt = 0; attempt < 8 && !applied; ++attempt) {
-    const auto op =
-        static_cast<MutationOp>(rng.uniform(0, kMutationOpCount - 1));
-    applied = apply_mutation(s, op, splice, rng);
+    applied = kMutations[rng.uniform(0, std::size(kMutations) - 1)](
+        s, splice, rng);
   }
   // Every scenario admits a reseed, so a mutant never degenerates into a
   // verbatim copy of its parent.
-  if (!applied) apply_mutation(s, MutationOp::kReseed, splice, rng);
+  if (!applied) reseed(s, splice, rng);
   clamp_to_envelope(s);
   return s;
+}
+
+// ---- shrinking moves ----------------------------------------------------
+
+std::vector<Scenario> shrink_candidates(const Scenario& s) {
+  std::vector<Scenario> out;
+  const std::string spec = format_spec(s);
+  /// Queues an edited copy of `s`, unless normalizing undoes the edit.
+  const auto queue = [&](Scenario cand) {
+    normalize_scenario(cand);
+    if (format_spec(cand) != spec) out.push_back(std::move(cand));
+  };
+  const auto add = [&](const auto& edit) {
+    Scenario cand = s;
+    edit(cand);
+    queue(std::move(cand));
+  };
+  const auto set_knob = [&](const Knob& k, std::uint64_t v) {
+    add([&](Scenario& c) { k.set(c, v); });
+  };
+  // Biggest reductions first: the greedy loop restarts after every
+  // acceptance, so early wins compound. Removals: n, every list entry, the
+  // removable knobs.
+  if (s.n >= 4) add([&](Scenario& c) { c.n = s.n / 2; });
+  if (s.n >= 3) add([&](Scenario& c) { c.n = s.n - 1; });
+  for_each_list([&](const auto& row) {
+    for (std::size_t i = 0; i < (s.*row.list).size(); ++i) {
+      add([&](Scenario& c) { erase_at(c.*row.list, i); });
+    }
+  });
+  for (const Knob& k : kKnobs) {
+    if ((k.shrink & kRemove) && live(k, s) && k.get(s) != k.inert) {
+      set_knob(k, k.inert);
+    }
+  }
+  // Reductions: the entries' simplifications, then the knobs' own moves.
+  for_each_list([&](const auto& row) {
+    for (std::size_t i = 0; row.simplify && i < (s.*row.list).size(); ++i) {
+      for (std::size_t k = 0;; ++k) {
+        Scenario cand = s;
+        if (!row.simplify((cand.*row.list)[i], k)) break;
+        queue(std::move(cand));
+      }
+    }
+  });
+  for (const Knob& k : kKnobs) {
+    if (!live(k, s)) continue;
+    const std::uint64_t v = k.get(s);
+    if ((k.shrink & kLeave) && v != k.inert) set_knob(k, k.inert);
+    if ((k.shrink & kHalve) && v > 1) set_knob(k, v / 2);
+    if ((k.shrink & kStep) && v > 1) set_knob(k, v - 1);
+  }
+  return out;
+}
+
+bool search_values(Scenario& s, const ValueSearch& search) {
+  // `search` may replace `s`, so every read below goes back to it.
+  bool reduced = false;
+  for (int rank = 1; rank <= UINT8_MAX; ++rank) {
+    for_each_list([&](const auto& row) {
+      if (row.minimize != rank) return;
+      for (std::size_t i = 0; i < (s.*row.list).size(); ++i) {
+        for (std::size_t k = 0;; ++k) {
+          const auto slot = row.value((s.*row.list)[i], k);
+          if (!slot) break;
+          reduced |= search(slot->floor, *slot->value,
+                            [&row, i, k](Scenario& c, mac::Time v) {
+                              *row.value((c.*row.list)[i], k)->value = v;
+                            });
+        }
+      }
+    });
+    for (const Knob& k : kKnobs) {
+      if (k.minimize != rank || !free_knob(k, s)) continue;
+      reduced |= search(k.normal.lo, k.get(s),
+                        [&k](Scenario& c, mac::Time v) { k.set(c, v); });
+    }
+  }
+  return reduced;
 }
 
 Scenario generate_scenario(std::uint64_t seed) {
@@ -857,7 +1033,7 @@ Scenario generate_scenario(std::uint64_t seed) {
 }
 
 void promote_to_large(Scenario& s, std::uint32_t n) {
-  s.n = std::max<std::uint32_t>(n, 16);
+  s.n = std::max(n, kMinLargeNodes);
   // Clique-locked algorithms cannot scale: single-hop topologies are
   // Theta(n^2) edges, and Ben-Or's coin convergence needs tiny n anyway.
   // Flooding accepts every topology, scheduler, crash set, and fault plan,
@@ -911,10 +1087,9 @@ void promote_to_log_service(Scenario& s) {
   // base scenario's crashes take the lease holder — happen several times
   // per run. Everything else (seed, transport, crashes, holds) is
   // inherited; clamp_to_envelope applies the family envelope.
-  s.log_ops = static_cast<std::uint32_t>(rng.uniform(16, 128));
-  s.log_batch = static_cast<std::uint32_t>(rng.uniform(1, 8));
-  s.log_window = static_cast<std::uint32_t>(rng.uniform(1, 4));
-  s.log_lease = static_cast<std::uint32_t>(rng.uniform(2, 16));
+  for (const Knob& k : kLogRows) {
+    k.set(s, rng.uniform(k.promote_lo, k.enter.hi));
+  }
   clamp_to_envelope(s);
 }
 
@@ -1044,18 +1219,23 @@ constexpr SpecField pair_list(std::string_view key) {
           }};
 }
 
-/// `log=ops@batch@window@lease`, all four nonzero; a zero-op service is
-/// spelled by omitting the token.
+/// `log=ops@batch@window@lease` (the log-family knob rows), all nonzero; a
+/// zero-op service is spelled by omitting the token.
 void format_log(std::string& out, const Scenario& s) {
-  if (s.log_ops == 0) return;
-  append_fields(out, {s.log_ops, s.log_batch, s.log_window, s.log_lease});
+  if (!log_family(s)) return;
+  for (const Knob& k : kLogRows) {
+    if (&k != kLogRows.data()) out += '@';
+    append_u64(out, k.get(s));
+  }
 }
 
 bool parse_log(std::string_view v, Scenario& s) {
-  const auto f = split_fields<kLogKnobs.size()>(v);
+  const auto f = split_fields<kLogRows.size()>(v);
   if (!f) return false;
-  for (std::size_t i = 0; i < kLogKnobs.size(); ++i) {
-    if (!parse_num((*f)[i], s.*kLogKnobs[i], 1, 1'000'000)) return false;
+  for (std::size_t i = 0; i < kLogRows.size(); ++i) {
+    std::uint32_t value = 0;
+    if (!parse_num((*f)[i], value, 1, 1'000'000)) return false;
+    kLogRows[i].set(s, value);
   }
   return true;
 }
@@ -1129,8 +1309,8 @@ constexpr SpecField kSpecFields[] = {
     num_field<&Scenario::seed>("seed"),
     name_field<&Scenario::algorithm, harness::kAlgorithmNames>("alg"),
     name_field<&Scenario::topology, kTopologyNames>("topo"),
-    num_field<&Scenario::n, 1, 16384>("n"),
-    num_field<&Scenario::aux, 0, 16384>("aux"),
+    num_field<&Scenario::n, 1, kMaxScenarioNodes>("n"),
+    num_field<&Scenario::aux, 0, kMaxScenarioNodes>("aux"),
     name_field<&Scenario::scheduler, kSchedulerNames>("sched"),
     num_field<&Scenario::fack, 1>("fack"),
     num_field<&Scenario::late_holds>("late"),

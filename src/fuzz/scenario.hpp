@@ -17,6 +17,15 @@
 // the spec language as one table row; list-valued fields reuse the shared
 // `,`/`@` list helpers next to the table.
 //
+// Every per-knob rule of normalize, the envelope clamp, the mutator and
+// the shrinker is a column of one row of the knob registry in
+// scenario.cpp, so a new knob is one row. A scalar knob's row (kKnobs)
+// holds its normalize range and inert value, mutation bounds, envelope
+// condition, derived value, log-family entry draws, shrink moves and
+// phase-2 rank; a list's row (kLists) its member, normalize and envelope
+// rules, kept entries, perturb range, searchable values with their
+// floors, simplifications and phase-2 rank.
+//
 // `generate_scenario(seed)` draws every dimension from a single util::Rng
 // stream and only emits combinations inside the algorithms' guarantee
 // envelopes (e.g. the Theorem 3.3/3.9 algorithms only ever get the
@@ -27,6 +36,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -177,7 +187,7 @@ struct Scenario {
   // fast-path slots, stalled-slot recovery, and re-election after a leader
   // crash. Like kScripted and faults, the generator never draws the family
   // (pinned seed-only corpus digest unchanged); it enters via
-  // promote_to_log_service (SoakOptions::log_every), the kLogService
+  // promote_to_log_service (SoakOptions::log_every), the log-service
   // mutation, and hand-written specs. Spec token: `log=ops@batch@window@
   // lease`, emitted only when log_ops > 0. When log_ops == 0 the knobs
   // below are inert and normalize resets them to these defaults.
@@ -186,15 +196,6 @@ struct Scenario {
   std::uint32_t log_window = 4; ///< pipelined slots in flight
   std::uint32_t log_lease = 64; ///< slots per lease renewal
 };
-
-/// The four log-service knobs in spec order (`log=ops@batch@window@lease`);
-/// the codec and the shrinker loop over them.
-inline constexpr std::array kLogKnobs = {
-    &Scenario::log_ops, &Scenario::log_batch, &Scenario::log_window,
-    &Scenario::log_lease};
-/// The two global fault rates (`drop=`, `dup=`), for the shrinker's loops.
-inline constexpr std::array kFaultRates = {&Scenario::drop_rate_bp,
-                                           &Scenario::dup_rate_bp};
 
 // ---- generation ---------------------------------------------------------
 
@@ -217,6 +218,11 @@ inline constexpr std::array kFaultRates = {&Scenario::drop_rate_bp,
 /// f < n/2. Shrinking applies this after every transform; build_scenario
 /// expects an already-normalized scenario.
 void normalize_scenario(Scenario& s);
+
+/// The largest n a spec line may carry (`n=` and `aux=`).
+inline constexpr std::uint32_t kMaxScenarioNodes = 16384;
+/// The smallest n promote_to_large promotes to.
+inline constexpr std::uint32_t kMinLargeNodes = 16;
 
 /// Rewrites a generated scenario into its large-topology counterpart at
 /// `n` nodes (n >= 16): the topology is forced into a bounded-degree,
@@ -242,68 +248,10 @@ void promote_to_large(Scenario& s, std::uint32_t n);
 /// re-election/recovery coverage this family exists for. Deterministic in
 /// `s`; NOT called by generate_scenario (the pinned seed-only corpus digest
 /// never sees it). Log scenarios enter via SoakOptions::log_every, the
-/// kLogService mutation, hand-written specs, and --replay.
+/// log-service mutation, hand-written specs, and --replay.
 void promote_to_log_service(Scenario& s);
 
 // ---- mutation -----------------------------------------------------------
-
-/// One mutation step applied to a corpus scenario by the coverage-steered
-/// fuzzer (see fuzz/fuzzer.hpp). Every op goes through clamp_to_envelope
-/// afterwards, so mutants are always well-formed AND inside the mutated
-/// algorithm's guarantee envelope — a mutant "violation" is a real bug,
-/// never an expected counterexample.
-enum class MutationOp : std::uint8_t {
-  kPerturbFack = 0,      ///< nudge/halve/double the delay bound
-  kPerturbHoldRelease = 1,  ///< nudge/halve/double one hold's release tick
-  kPerturbCrashTime = 2,    ///< nudge/halve/double one crash tick
-  kRetimeHold = 3,       ///< redraw one hold's release from a wide range
-  kAddHold = 4,          ///< add one hold (holdback scenarios only)
-  kRemoveHold = 5,       ///< drop one hold
-  kAddCrash = 6,         ///< add one crash (crash-tolerant envelopes only)
-  kRemoveCrash = 7,      ///< drop one crash
-  kToggleLateHolds = 8,  ///< flip early/late hold registration
-  kReseed = 9,           ///< redraw the master seed (new wiring/inputs)
-  kSpliceTransport = 10,  ///< take topology+scheduler from a second parent
-  // Timeline ops: ScriptedScheduler scenarios (the paper's hand-built
-  // counterexample shapes). kScriptTimeline converts any non-synchronous-
-  // only scenario into a scripted one; the others perturb existing slots.
-  kScriptTimeline = 11,      ///< switch to kScripted with a drawn timeline
-  kRetimeScriptSlot = 12,    ///< redraw one slot's (ack, recv) delays
-  kSwapScriptSlots = 13,     ///< exchange the delays of two slots
-  kDuplicateScriptSlot = 14, ///< replay a slot at the sender's next index
-  kDropScriptSlot = 15,      ///< remove one slot
-  // Link-fault ops: perturb the scenario's LinkFaultPlan (drop windows,
-  // rates). Clamp keeps every mutant inside the bounded-loss termination
-  // envelope per algorithm (see clamp_to_envelope), so a faulted mutant
-  // violation is still a real bug.
-  kAddDropWindow = 16,     ///< add one per-link drop window
-  kRemoveDropWindow = 17,  ///< drop one window
-  kWidenDropWindow = 18,   ///< stretch one window (later until / earlier from)
-  kNarrowDropWindow = 19,  ///< shrink one window
-  kPerturbFaultRates = 20, ///< nudge the global drop/duplicate rates
-  kScriptReceiverDelay = 21,  ///< retime ONE receiver inside a scripted slot
-  /// Per-window fault-plan recombination with a second parent: each window
-  /// slot takes the base's or the partner's window by a fair coin, and the
-  /// global drop/duplicate rates recombine the same way. Complements
-  /// kSpliceTransport, which copies the partner's whole plan along with
-  /// its transport — this op explores fault timelines NEITHER parent ran.
-  kSpliceFaultWindows = 22,
-  // Log-service ops: enter and explore the replicated-log family (the
-  // mutation-only entry mirrors kScriptTimeline — generated scenarios never
-  // carry log= fields, so the pinned corpus digest is unchanged).
-  kLogService = 23,      ///< convert into a log-service scenario
-  kPerturbLogKnobs = 24, ///< nudge ops/batch/window/lease (log family only)
-};
-inline constexpr std::size_t kMutationOpCount = 25;
-/// Diagnostic names, indexed by MutationOp.
-inline constexpr std::array<const char*, kMutationOpCount> kMutationNames = {
-    "perturb-fack",  "perturb-hold",   "perturb-crash",  "retime-hold",
-    "add-hold",      "remove-hold",    "add-crash",      "remove-crash",
-    "toggle-late",   "reseed",         "splice",         "script-timeline",
-    "retime-slot",   "swap-slots",     "dup-slot",       "drop-slot",
-    "add-window",    "remove-window",  "widen-window",   "narrow-window",
-    "perturb-rates", "receiver-delay", "splice-windows", "log-service",
-    "perturb-log"};
 
 /// Clamps a mutated scenario back inside its algorithm's guarantee
 /// envelope, mirroring generate_scenario's constraints (synchronous-only
@@ -321,14 +269,33 @@ void clamp_to_envelope(Scenario& s);
 [[nodiscard]] bool inside_envelope(const Scenario& s);
 
 /// Applies one randomly chosen applicable mutation to a copy of `base`
-/// (`splice`, when non-null, is the second parent for kSpliceTransport)
-/// and returns the clamped, normalized mutant. Deterministic given the
-/// rng state. The mutant keeps `base`'s seed unless kReseed fires, so its
+/// (`splice`, when non-null, is the second parent of the splice ops) and
+/// returns the clamped, normalized mutant. Deterministic given the rng
+/// state. The mutant keeps `base`'s seed unless the reseed op fires, so its
 /// derived streams (wiring, inputs, scheduler delays) stay pinned and the
 /// spec line replays it exactly.
 [[nodiscard]] Scenario mutate_scenario(const Scenario& base,
                                        const Scenario* splice,
                                        util::Rng& rng);
+
+// ---- shrinking moves ----------------------------------------------------
+
+/// Phase-1 (structural) shrink candidates of `s`, normalized, biggest
+/// reductions first.
+[[nodiscard]] std::vector<Scenario> shrink_candidates(const Scenario& s);
+
+/// Sets one searchable value on a copy of the scenario.
+using ValueSetter = std::function<void(Scenario&, mac::Time)>;
+/// Searches one value down from `value` toward `floor`; true when it
+/// committed a smaller one.
+using ValueSearch = std::function<bool(mac::Time floor, mac::Time value,
+                                       const ValueSetter& set)>;
+
+/// Phase 2 (schedule-space) of the shrinker: calls `search` on every
+/// searchable value of `s`, in registry order, and returns true when any
+/// search committed. `search` may replace `s` (search_values itself never
+/// writes it); every value is read from it afresh.
+bool search_values(Scenario& s, const ValueSearch& search);
 
 // ---- spec round-trip ----------------------------------------------------
 

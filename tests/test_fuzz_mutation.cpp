@@ -579,25 +579,5 @@ TEST(FuzzShrinker, MinimizesHoldReleaseToExactThreshold) {
   EXPECT_EQ(shrunk.attempts, 32u);
 }
 
-TEST(FuzzShrinker, ValueMinimizationCanBePinnedOff) {
-  // minimize_values = false reproduces the structural-only PR-2 shrinker
-  // (useful when a value sweep is too expensive for a huge repro).
-  const auto scenario = parse_spec(
-      "amacfuzz1:seed=1:alg=anonymous:topo=line:n=2:aux=0:sched=holdback:"
-      "fack=2:late=0:in=split:ids=identity:f=0:hz=1000000:holds=0@300");
-  ASSERT_TRUE(scenario.has_value());
-  ASSERT_EQ(run_scenario(*scenario).failure, FailureKind::kAgreement);
-
-  ShrinkOptions structural_only;
-  structural_only.minimize_values = false;
-  const ShrinkResult shrunk = shrink_scenario(
-      *scenario, FailureKind::kAgreement, RunOptions{}, structural_only);
-  EXPECT_EQ(shrunk.report.failure, FailureKind::kAgreement);
-  // fack can still fall (structural candidates halve it) but the hold
-  // release is untouched by the structural phase.
-  ASSERT_EQ(shrunk.scenario.holds.size(), 1u);
-  EXPECT_EQ(shrunk.scenario.holds[0].release, 300u);
-}
-
 }  // namespace
 }  // namespace amac::fuzz
