@@ -677,8 +677,7 @@ struct SoakShard {
 
 /// Everything one shard observed, carrying both its local SoakResult and
 /// the raw material the canonical merge needs (per-run fingerprints in
-/// seed order, per-key signature structs, projection key sets).
-/// Self-contained: two shards share no state, so shards may run on
+/// seed order, per-key signature structs, projection key sets). Self-contained: two shards share no state, so shards may run on
 /// concurrent threads and merge in any completion order.
 struct ShardSoakResult {
   std::size_t shard_index = 0;

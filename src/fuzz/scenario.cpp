@@ -521,7 +521,7 @@ bool perturb_knob(Scenario& s, const Scenario*, util::Rng& rng) {
   return true;
 }
 
-/// Nudges field 0 of one entry of list row I.
+/// Nudges value 0 of one entry of list row I inside the row's perturb range.
 template <std::size_t I>
 bool perturb_entry(Scenario& s, const Scenario*, util::Rng& rng) {
   const auto& row = std::get<I>(kLists);
