@@ -124,12 +124,20 @@ bool ReplicatedLog::pump() {
   bool any = false;
   for (std::size_t i = 0; i < inflight_.size();) {
     const std::size_t slot = inflight_[i];
-    if (net_.instance_all_decided(slots_[slot].instance)) {
-      inflight_.erase(inflight_.begin() + static_cast<std::ptrdiff_t>(i));
+    const mac::InstanceId instance = slots_[slot].instance;
+    if (!net_.instance_all_decided(instance)) {
+      ++i;
+      continue;
+    }
+    inflight_.erase(inflight_.begin() + static_cast<std::ptrdiff_t>(i));
+    // Every live node decided — vacuously so when none is left. A slot
+    // counts as decided only if some node decided it; otherwise no node is
+    // left to decide it, and the log cannot complete past it.
+    if (any_decided(instance)) {
       on_slot_decided(slot);
       any = true;
     } else {
-      ++i;
+      ++stats_.slots_lost;
     }
   }
   if (any) {
@@ -138,6 +146,13 @@ bool ReplicatedLog::pump() {
     launch_ready_slots();
   }
   return any;
+}
+
+bool ReplicatedLog::any_decided(mac::InstanceId instance) const {
+  for (std::size_t u = 0; u < n_; ++u) {
+    if (net_.decision(static_cast<NodeId>(u), instance).decided) return true;
+  }
+  return false;
 }
 
 void ReplicatedLog::on_slot_decided(std::size_t slot) {
@@ -311,12 +326,13 @@ const LogServiceStats& ReplicatedLog::drive(mac::Time horizon) {
     // A stop that found decided slots runs on (a drain included: the
     // slots it just launched have pending events). Only a run that ends
     // with nothing newly decided reaches the checks below.
-    if (pump() && result.condition_met) continue;
+    if (pump() && result.condition_met && stats_.slots_lost == 0) continue;
     stats_.end_time = net_.now();
     if (next_apply_ == total_slots_) {
       stats_.complete = true;
       break;
     }
+    if (stats_.slots_lost > 0) break;  // no live node can decide it
     if (!result.condition_met) {
       // Events were still pending when the budget ran out: the horizon,
       // not a stall, was binding — recovery cannot help.

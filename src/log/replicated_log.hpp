@@ -110,6 +110,9 @@ struct LogServiceStats {
   /// Renewal slots whose decided value elected a leader different from
   /// the one the previous lease pinned.
   std::size_t re_elections = 0;
+  /// Slots that every node crashed in before any decided: no live node is
+  /// left to decide them, so drive() stops with the log incomplete.
+  std::size_t slots_lost = 0;
   std::size_t ops_applied = 0;
   /// Slots whose per-instance oracle verdict failed, or whose decided
   /// value was not the slot's batch id. Zero on every healthy run.
@@ -168,7 +171,8 @@ class ReplicatedLog {
   ReplicatedLog& operator=(const ReplicatedLog&) = delete;
 
   /// Runs the service until every slot is decided and applied, the
-  /// virtual-time horizon is hit, or recovery gives up. Call once.
+  /// virtual-time horizon is hit, recovery gives up, or a slot is lost
+  /// (LogServiceStats::slots_lost). Call once.
   const LogServiceStats& drive(mac::Time horizon);
 
   /// Issues a leader read of `key`, bound to the latest decided slot;
@@ -229,6 +233,7 @@ class ReplicatedLog {
                                                  SlotMode mode,
                                                  mac::Value forced) const;
   bool pump();
+  [[nodiscard]] bool any_decided(mac::InstanceId instance) const;
   void on_slot_decided(std::size_t slot);
   void apply_ready_prefix();
   void serve_ready_reads();

@@ -123,6 +123,25 @@ TEST(FuzzLogRun, LeaderCrashRunsServiceAndSignalsCoverage) {
   EXPECT_EQ(r2.log_kv_digest, r.log_kv_digest);
 }
 
+TEST(FuzzLogRun, EveryNodeCrashedIsNotAnAgreementViolation) {
+  // Both nodes crash at tick 0, before slot 0 decides. The slot's instance
+  // is vacuously all-decided, but no node decided it: the service must
+  // report the log incomplete, not apply a batch nobody decided and then
+  // fail its own per-slot oracle.
+  const auto s = parse_spec(
+      "amacfuzz1:seed=1968:alg=wpaxos:topo=clique:n=2:aux=0:sched=maxdelay:"
+      "fack=1:late=0:in=alt:ids=identity:f=0:hz=30000:log=1@1@1@1:"
+      "crashes=1@0,0@0");
+  ASSERT_TRUE(s.has_value());
+  const RunReport r = run_scenario(*s);
+  EXPECT_TRUE(r.log_service);
+  EXPECT_NE(r.failure, FailureKind::kAgreement) << r.detail;
+  EXPECT_EQ(r.failure, FailureKind::kNone) << r.detail;
+  EXPECT_TRUE(r.verdict.agreement);
+  EXPECT_TRUE(r.verdict.validity);
+  EXPECT_FALSE(r.verdict.termination);
+}
+
 TEST(FuzzLogRun, InstanceFamilyReportsNoService) {
   const Scenario s = generate_scenario(3);
   const RunReport r = run_scenario(s);

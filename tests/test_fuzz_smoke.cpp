@@ -87,12 +87,12 @@ TEST(FuzzSpec, RoundTripsEveryLineOfAMutatingSoak) {
   }
   // Pins of the mutant stream: every spec line above, in order, and the
   // fold of every run fingerprint. A refactor of the mutator, clamp,
-  // normalize or shrinker must leave both unchanged. The vacuous-decide
-  // fix (ROADMAP 1(a)) is expected to move these pins: it changes which
-  // log runs fail, so which runs become mutation bases.
-  EXPECT_EQ(specs.size(), 2258u);
-  EXPECT_EQ(spec_digest.digest(), 0x71c5a3edbee29a53ULL);
-  EXPECT_EQ(result.corpus_digest, 0xf9bc3e485274d074ULL);
+  // normalize or shrinker must leave both unchanged. A change to what a
+  // log-family run decides, fails or costs moves them: its fingerprint
+  // folds the service's counters, and its failures add spec lines.
+  EXPECT_EQ(specs.size(), 2256u);
+  EXPECT_EQ(spec_digest.digest(), 0xac25bbee05db1a7bULL);
+  EXPECT_EQ(result.corpus_digest, 0x914f1372289eb3f0ULL);
 }
 
 TEST(FuzzLargeTopology, PromotedScenariosStaySparseAndRoundTrip) {

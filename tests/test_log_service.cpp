@@ -49,6 +49,9 @@ std::uint64_t stats_digest(const LogServiceStats& s) {
         s.end_time, std::uint64_t{s.leader}}) {
     h.mix_u64(v);
   }
+  // Mixed only when set, so the pins of runs that lose no slot predate the
+  // field.
+  if (s.slots_lost != 0) h.mix_u64(s.slots_lost);
   h.mix_bool(s.complete);
   h.mix_bool(s.horizon_exhausted);
   h.mix_bool(s.lease_ok);
@@ -309,6 +312,29 @@ TEST(LogService, MultiRoundRecoveryCountsEachSlotOnce) {
   EXPECT_LT(stats.relaunches,
             config.max_recovery_rounds * 2u + 2u);  // but skipped live ones
   EXPECT_EQ(stats_digest(stats), 0x00858a5c7c8fb6a0ull);
+}
+
+TEST(LogService, SlotNoNodeDecidedIsLostNotApplied) {
+  // Every node crashes at tick 0, before slot 0 decides: the slot's
+  // instance has no undecided live node, yet no node decided it. It must
+  // not count as decided, its batch must not be applied, and the log ends
+  // incomplete with the slot counted as lost.
+  const net::Graph graph = net::make_clique(2);
+  const Workload workload(kSeed, 1);
+  LogConfig config;
+  config.batch_size = 1;
+  config.window = 1;
+  config.lease_slots = 1;
+  config.crashes.push_back(mac::CrashPlan{1, 0});
+  config.crashes.push_back(mac::CrashPlan{0, 0});
+  const auto stats = drive_service(graph, workload, config, nullptr);
+  EXPECT_FALSE(stats.complete);
+  EXPECT_FALSE(stats.horizon_exhausted);
+  EXPECT_EQ(stats.slots_lost, 1u);
+  EXPECT_EQ(stats.slots_decided, 0u);
+  EXPECT_EQ(stats.ops_applied, 0u);
+  EXPECT_EQ(stats.oracle_failures, 0u);
+  EXPECT_EQ(stats.slots_recovered, 0u);
 }
 
 TEST(LogService, QuiescenceExactlyAtHorizonStillRecovers) {
