@@ -40,8 +40,8 @@ WireEnvelope WireEnvelope::decode(const util::Buffer& buf) {
 }
 
 WPaxos::WPaxos(std::uint64_t id, std::size_t n, mac::Value initial_value,
-               WPaxosConfig config)
-    : id_(id), n_(n), value_(initial_value), cfg_(config) {
+               WPaxosConfig config, std::optional<WarmStart> warm)
+    : id_(id), n_(n), value_(initial_value), cfg_(config), warm_(warm) {
   AMAC_EXPECTS(n >= 1);
   // PAXOS is value-agnostic, so wPAXOS supports arbitrary non-negative
   // values, not just binary consensus (the paper's §2 generalization; note
@@ -52,6 +52,16 @@ WPaxos::WPaxos(std::uint64_t id, std::size_t n, mac::Value initial_value,
 }
 
 void WPaxos::on_start(mac::Context& ctx) {
+  if (warm_) {
+    // Omega and the tree toward it are already known: no service flood,
+    // and only the leader proposes (see "Warm start" in the header).
+    omega_ = warm_->leader;
+    dist_[omega_] = warm_->dist;
+    parent_[omega_] = warm_->parent;
+    if (omega_ == id_) generate_new_proposal(ctx);
+    maybe_send(ctx);
+    return;
+  }
   // Algorithm 2 init: Omega_u <- id_u, enqueue <leader, id_u>.
   omega_ = id_;
   leader_q_ = LeaderMsg{id_};
@@ -424,6 +434,12 @@ void WPaxos::broadcast(const WireEnvelope& env, mac::Context& ctx) {
 }
 
 // ------------------------------------------------------------- observables
+
+std::optional<WarmStart> WPaxos::converged() const {
+  const auto d = dist_.find(omega_);
+  if (d == dist_.end()) return std::nullopt;
+  return WarmStart{omega_, d->second, parent_.at(omega_)};
+}
 
 WPaxos::ProposerSnapshot WPaxos::proposer_snapshot() const {
   ProposerSnapshot s;

@@ -24,6 +24,17 @@
 //     count conservation) is monitored by verify/invariants.hpp.
 //
 // Deciding proposers flood decide(v); every node decides on first receipt.
+//
+// Warm start (the Multi-Paxos "stable leader"): an instance whose nodes are
+// built with a WarmStart skips the support services' bootstrap. Each node
+// sets Omega and its tree entry toward Omega from the state an earlier
+// instance converged to, and seeds no leader, change or search flood; only
+// the node whose id equals Omega proposes, so its first envelope carries
+// the prepare alone. Prepare/propose, response aggregation and decide are
+// the cold protocol's, so safety never depends on the warm state: a stale
+// one can cost liveness (a response routed to a dead parent), never
+// agreement or validity. log::ReplicatedLog is the only user; it checks
+// the state before it hands it out and falls back to cold instances.
 #pragma once
 
 #include <list>
@@ -73,12 +84,23 @@ struct WPaxosNodeStats {
   std::uint64_t responses_enqueued = 0;
 };
 
+/// One node's converged support-service state: its Omega and its
+/// shortest-path-tree entry toward Omega. Read from a decided instance with
+/// WPaxos::converged(); handed to a later instance's node as a warm start.
+struct WarmStart {
+  std::uint64_t leader = 0;
+  std::uint32_t dist = 0;
+  std::uint64_t parent = 0;
+};
+
 class WPaxos final : public mac::Process {
  public:
   /// Knowledge: own unique id, n (required by Theorem 3.9), initial value.
-  /// No topology or participant knowledge.
+  /// No topology or participant knowledge. `warm` seeds Omega and the tree
+  /// entry toward it instead of running Algorithms 2-4 from nothing.
   WPaxos(std::uint64_t id, std::size_t n, mac::Value initial_value,
-         WPaxosConfig config = {});
+         WPaxosConfig config = {},
+         std::optional<WarmStart> warm = std::nullopt);
 
   void on_start(mac::Context& ctx) override;
   void on_receive(const mac::Packet& packet, mac::Context& ctx) override;
@@ -98,6 +120,9 @@ class WPaxos final : public mac::Process {
     return parent_;
   }
   [[nodiscard]] bool has_decided() const { return decided_; }
+  /// Omega and this node's tree entry toward it; nullopt while the node
+  /// has no entry toward its Omega.
+  [[nodiscard]] std::optional<WarmStart> converged() const;
   [[nodiscard]] const WPaxosNodeStats& node_stats() const { return stats_; }
   [[nodiscard]] const std::vector<AcceptorResponse>& response_queue() const {
     return response_q_;
@@ -165,6 +190,7 @@ class WPaxos final : public mac::Process {
   std::size_t n_;
   mac::Value value_;
   WPaxosConfig cfg_;
+  std::optional<WarmStart> warm_;
 
   // leader election (Algorithm 2)
   std::uint64_t omega_ = 0;

@@ -15,7 +15,8 @@ ReplicatedLog::ReplicatedLog(const net::Graph& graph,
       n_(graph.node_count()),
       total_slots_((workload.size() + config.batch_size - 1) /
                    config.batch_size),
-      net_(graph, slot_factory(0, SlotMode::kElective, 0), scheduler),
+      net_(graph, slot_factory(0, SlotMode::kElective, 0, nullptr),
+           scheduler),
       current_leader_(static_cast<NodeId>(n_ - 1)) {
   AMAC_EXPECTS(workload.size() > 0);
   AMAC_EXPECTS(config_.batch_size >= 1);
@@ -62,7 +63,14 @@ std::pair<std::size_t, std::size_t> ReplicatedLog::batch_range(
 
 mac::ProcessFactory ReplicatedLog::slot_factory(std::size_t slot,
                                                 SlotMode mode,
-                                                mac::Value forced) const {
+                                                mac::Value forced,
+                                                WarmSnapshot warm) const {
+  const auto warm_start =
+      [](const WarmSnapshot& w,
+         NodeId u) -> std::optional<core::wpaxos::WarmStart> {
+    if (w == nullptr) return std::nullopt;
+    return (*w)[u];
+  };
   switch (mode) {
     case SlotMode::kElective: {
       // Renewal slot: node u proposes encode_renewal(slot, u), so the
@@ -70,9 +78,10 @@ mac::ProcessFactory ReplicatedLog::slot_factory(std::size_t slot,
       // the election, and validity guarantees the decoded leader proposed.
       const std::size_t n = n_;
       const auto wpaxos = config_.wpaxos;
-      return [slot, n, wpaxos](NodeId u) -> std::unique_ptr<mac::Process> {
+      return [slot, n, wpaxos, warm,
+              warm_start](NodeId u) -> std::unique_ptr<mac::Process> {
         return std::make_unique<core::wpaxos::WPaxos>(
-            u, n, encode_renewal(slot, u), wpaxos);
+            u, n, encode_renewal(slot, u), wpaxos, warm_start(warm, u));
       };
     }
     case SlotMode::kForcedPaxos: {
@@ -81,8 +90,10 @@ mac::ProcessFactory ReplicatedLog::slot_factory(std::size_t slot,
       // for recovery relaunches that must re-decide a carried-over value.
       const std::size_t n = n_;
       const auto wpaxos = config_.wpaxos;
-      return [n, forced, wpaxos](NodeId u) -> std::unique_ptr<mac::Process> {
-        return std::make_unique<core::wpaxos::WPaxos>(u, n, forced, wpaxos);
+      return [n, forced, wpaxos, warm,
+              warm_start](NodeId u) -> std::unique_ptr<mac::Process> {
+        return std::make_unique<core::wpaxos::WPaxos>(u, n, forced, wpaxos,
+                                                      warm_start(warm, u));
       };
     }
     case SlotMode::kLeased:
@@ -105,9 +116,12 @@ void ReplicatedLog::launch_ready_slots() {
     SlotRecord& rec = slots_[slot];
     rec.sole = static_cast<mac::Value>(slot);
     rec.elective = renewal;
-    rec.instance = net_.add_instance(slot_factory(slot, mode, rec.sole));
-    rec.launched_at = net_.now();
     rec.full_paxos = mode != SlotMode::kLeased;
+    WarmSnapshot warm = rec.full_paxos ? warm_snapshot() : nullptr;
+    if (warm != nullptr) ++stats_.slots_warm;
+    rec.instance =
+        net_.add_instance(slot_factory(slot, mode, rec.sole, std::move(warm)));
+    rec.launched_at = net_.now();
     if (rec.full_paxos) {
       ++stats_.slots_full_paxos;
     } else {
@@ -115,6 +129,51 @@ void ReplicatedLog::launch_ready_slots() {
     }
     inflight_.push_back(slot);
   }
+}
+
+std::size_t ReplicatedLog::crashed_count() const {
+  std::size_t crashed = 0;
+  for (std::size_t u = 0; u < n_; ++u) {
+    crashed += net_.crashed(static_cast<NodeId>(u)) ? 1 : 0;
+  }
+  return crashed;
+}
+
+void ReplicatedLog::capture_warm(mac::InstanceId instance) {
+  // Valid only if every live node agrees on one live leader and has a
+  // tree entry toward it through a live parent. Parent pointers only ever
+  // move to a neighbour with a smaller distance, so the live nodes'
+  // parents then form a tree that reaches the leader.
+  warm_.reset();
+  auto snapshot = std::make_shared<std::vector<core::wpaxos::WarmStart>>(n_);
+  std::optional<std::uint64_t> leader;
+  for (std::size_t u = 0; u < n_; ++u) {
+    const auto node = static_cast<NodeId>(u);
+    if (net_.crashed(node)) continue;
+    const auto& p =
+        dynamic_cast<const core::wpaxos::WPaxos&>(net_.process(node, instance));
+    const std::optional<core::wpaxos::WarmStart> c = p.converged();
+    if (!c || (leader && c->leader != *leader)) return;
+    leader = c->leader;
+    (*snapshot)[u] = *c;
+  }
+  if (!leader) return;
+  const auto live = [this](std::uint64_t id) {
+    return id < n_ && !net_.crashed(static_cast<NodeId>(id));
+  };
+  if (!live(*leader)) return;
+  for (std::size_t u = 0; u < n_; ++u) {
+    if (!net_.crashed(static_cast<NodeId>(u)) && !live((*snapshot)[u].parent)) {
+      return;
+    }
+  }
+  warm_ = std::move(snapshot);
+  warm_crashed_ = crashed_count();
+}
+
+ReplicatedLog::WarmSnapshot ReplicatedLog::warm_snapshot() {
+  if (warm_ != nullptr && crashed_count() != warm_crashed_) warm_.reset();
+  return warm_;
 }
 
 bool ReplicatedLog::pump() {
@@ -207,6 +266,8 @@ void ReplicatedLog::on_slot_decided(std::size_t slot) {
     submit_read(workload_.op(last - 1).key);
   }
 
+  if (rec.full_paxos) capture_warm(rec.instance);
+
   const mac::InstanceStats& is = net_.instance_stats(rec.instance);
   stats_.payload_bytes += is.payload_bytes;
   stats_.broadcasts += is.broadcasts;
@@ -261,6 +322,9 @@ void ReplicatedLog::recover_stalled_slots() {
   // elects a live holder; slots launched in between take the slow path.
   lease_ok_ = false;
   stats_.lease_ok = false;
+  // A stall means some node's view changed under the snapshot: relaunch
+  // cold, and launch cold until a slot decides again.
+  warm_.reset();
   for (const std::size_t slot : inflight_) {
     SlotRecord& rec = slots_[slot];
     if (rec.full_paxos) {
@@ -295,7 +359,7 @@ void ReplicatedLog::recover_stalled_slots() {
     const SlotMode mode = (rec.elective && !have_decision)
                               ? SlotMode::kElective
                               : SlotMode::kForcedPaxos;
-    rec.instance = net_.add_instance(slot_factory(slot, mode, forced));
+    rec.instance = net_.add_instance(slot_factory(slot, mode, forced, nullptr));
     if (!rec.elective) {
       rec.sole = forced;
     }

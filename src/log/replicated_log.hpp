@@ -52,6 +52,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/wpaxos/wpaxos.hpp"
@@ -101,6 +102,9 @@ struct LogServiceStats {
   std::size_t slots_decided = 0;
   std::size_t slots_full_paxos = 0;  ///< lease-renewal slots (incl. slot 0)
   std::size_t slots_leased = 0;      ///< CommitFlood fast-path slots
+  /// Full-paxos slots launched warm: from the last decided full-paxos
+  /// slot's converged leader and tree instead of from nothing.
+  std::size_t slots_warm = 0;
   /// Stalled slots moved to the wPAXOS slow path — counted once per slot,
   /// however many recovery rounds touched it.
   std::size_t slots_recovered = 0;
@@ -229,9 +233,17 @@ class ReplicatedLog {
   [[nodiscard]] bool lease_renewal_slot(std::size_t slot) const {
     return slot % config_.lease_slots == 0;
   }
+  /// Per-node warm starts, indexed by node id (crashed nodes' entries
+  /// unused). Shared by every factory that launches from it.
+  using WarmSnapshot = std::shared_ptr<const std::vector<core::wpaxos::WarmStart>>;
+
   [[nodiscard]] mac::ProcessFactory slot_factory(std::size_t slot,
                                                  SlotMode mode,
-                                                 mac::Value forced) const;
+                                                 mac::Value forced,
+                                                 WarmSnapshot warm) const;
+  [[nodiscard]] std::size_t crashed_count() const;
+  void capture_warm(mac::InstanceId instance);
+  [[nodiscard]] WarmSnapshot warm_snapshot();
   bool pump();
   [[nodiscard]] bool any_decided(mac::InstanceId instance) const;
   void on_slot_decided(std::size_t slot);
@@ -259,6 +271,13 @@ class ReplicatedLog {
   /// again when a renewal slot elects a live holder — "broken until next
   /// renewal", not a terminal state.
   bool lease_ok_ = true;
+  /// The converged leader and tree of the last decided full-paxos slot, if
+  /// every live node agreed on a live leader and has a live parent toward
+  /// it; null otherwise. Dropped by recovery, and at launch once the
+  /// crashed set differs from the one at capture (warm_crashed_: crashes
+  /// are permanent, so the count names the set).
+  WarmSnapshot warm_;
+  std::size_t warm_crashed_ = 0;
   /// Slot count the freshest read must wait for: latest decided slot + 1.
   std::size_t read_bound_ = 0;
   std::vector<ReadRecord> reads_;

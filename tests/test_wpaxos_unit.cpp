@@ -41,6 +41,74 @@ TEST(WPaxosUnit, StartBroadcastsAllInitServices) {
   EXPECT_EQ(env.body.proposer->pn.id, 3u);
 }
 
+TEST(WPaxosUnit, WarmLeaderFirstEnvelopeCarriesOnlyThePrepare) {
+  // A warm start knows Omega and the tree already: the leader seeds no
+  // leader, search or change flood, and its first envelope is the prepare.
+  WPaxos node(/*id=*/9, /*n=*/5, /*value=*/1, {}, WarmStart{9, 0, 9});
+  FakeContext ctx;
+  node.on_start(ctx);
+  ASSERT_EQ(ctx.sent.size(), 1u);
+  const auto env = decode_last(ctx);
+  EXPECT_EQ(env.sender_id, 9u);
+  EXPECT_FALSE(env.body.leader);
+  EXPECT_FALSE(env.body.search);
+  EXPECT_FALSE(env.body.change);
+  EXPECT_FALSE(env.body.response);
+  ASSERT_TRUE(env.body.proposer);
+  EXPECT_EQ(env.body.proposer->kind, ProposerMsg::Kind::kPrepare);
+  EXPECT_EQ(env.body.proposer->pn, (ProposalNumber{1, 9}));
+  EXPECT_EQ(node.omega(), 9u);
+  EXPECT_EQ(node.node_stats().change_events, 0u);
+}
+
+TEST(WPaxosUnit, WarmFollowerIsSilentThenAnswersTowardItsWarmParent) {
+  WPaxos node(/*id=*/3, /*n=*/5, /*value=*/1, {}, WarmStart{9, 2, 7});
+  FakeContext ctx;
+  node.on_start(ctx);
+  EXPECT_TRUE(ctx.sent.empty());  // no proposal, no service flood
+  EXPECT_EQ(node.omega(), 9u);
+  EXPECT_EQ(node.dist().at(9), 2u);
+  EXPECT_EQ(node.parent().at(9), 7u);
+
+  // The leader's prepare arrives: relayed, and the promise goes to the
+  // warm parent without any search message having been seen.
+  Envelope prepare;
+  prepare.proposer = ProposerMsg{ProposerMsg::Kind::kPrepare, {1, 9}, 0};
+  ctx.deliver(node, 4, envelope_from(5, prepare));
+  ASSERT_EQ(ctx.sent.size(), 1u);
+  const auto env = decode_last(ctx);
+  ASSERT_TRUE(env.body.proposer);
+  EXPECT_EQ(env.body.proposer->pn, (ProposalNumber{1, 9}));
+  ASSERT_TRUE(env.body.response);
+  EXPECT_TRUE(env.body.response->positive);
+  EXPECT_EQ(env.body.response->dest, 7u);
+}
+
+TEST(WPaxosUnit, ConvergedReportsOmegaAndItsTreeEntry) {
+  WPaxos node(3, 5, 1);
+  FakeContext ctx;
+  node.on_start(ctx);
+  // Cold start: self-leader at distance 0.
+  auto c = node.converged();
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->leader, 3u);
+  EXPECT_EQ(c->dist, 0u);
+  EXPECT_EQ(c->parent, 3u);
+  // A larger leader with no tree entry yet: nothing converged.
+  Envelope leader;
+  leader.leader = LeaderMsg{9};
+  ctx.deliver(node, 0, envelope_from(9, leader));
+  EXPECT_FALSE(node.converged().has_value());
+  Envelope search;
+  search.search = SearchMsg{9, 2};
+  ctx.deliver(node, 4, envelope_from(7, search));
+  c = node.converged();
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->leader, 9u);
+  EXPECT_EQ(c->dist, 2u);
+  EXPECT_EQ(c->parent, 7u);
+}
+
 TEST(WPaxosUnit, LeaderElectionAdoptsLargerIdOnly) {
   WPaxos node(3, 5, 1);
   FakeContext ctx;
