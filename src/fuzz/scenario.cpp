@@ -349,7 +349,6 @@ constexpr std::tuple kLists{
           return k ? std::nullopt : std::optional(Slot{0, &c.when});
         },
         nullptr, 2},
-    // Only the add op caps the hold count (at kMaxMutatedHolds).
     ListRow<HoldSpec>{
         &Scenario::holds,
         [](const Scenario& s, std::vector<HoldSpec>& l, std::size_t count) {
@@ -357,6 +356,7 @@ constexpr std::tuple kLists{
           std::erase_if(l, [&](const auto& h) { return h.sender >= count; });
         },
         [](const Scenario&, std::vector<HoldSpec>& l) {
+          truncate(l, kMaxMutatedHolds);
           for (auto& h : l) {
             h.release = clamp_time(h.release, 1, kMaxMutatedRelease);
           }

@@ -394,6 +394,45 @@ TEST(FuzzMutation, DeliberatelyUnclampedScriptedMutantIsRejected) {
   EXPECT_TRUE(inside_envelope(bad));
 }
 
+TEST(FuzzMutation, ClampCapsAPreSeedsHoldCount) {
+  // Generation draws at most 3 holds and the add-hold op stops at 6, but a
+  // --corpus-in pre-seed can carry more. The clamp caps the count too, so
+  // no mutant of such a pre-seed passes inside_envelope() with 7 holds.
+  Scenario base;
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 500 && !found; ++seed) {
+    base = generate_scenario(seed);
+    found = base.scheduler == SchedulerKind::kHoldback && inside_envelope(base);
+  }
+  ASSERT_TRUE(found);
+  Scenario seven = base;
+  while (seven.holds.size() < 7) {
+    const auto i = static_cast<NodeId>(seven.holds.size());
+    seven.holds.push_back(HoldSpec{static_cast<NodeId>(i % seven.n), 50 + i});
+  }
+  normalize_scenario(seven);
+  ASSERT_EQ(seven.holds.size(), 7u) << format_spec(seven);
+  EXPECT_FALSE(inside_envelope(seven));
+
+  Scenario clamped = seven;
+  clamp_to_envelope(clamped);
+  EXPECT_EQ(clamped.holds.size(), 6u);
+  EXPECT_TRUE(inside_envelope(clamped));
+  EXPECT_TRUE(std::equal(clamped.holds.begin(), clamped.holds.end(),
+                         seven.holds.begin(),
+                         [](const HoldSpec& a, const HoldSpec& b) {
+                           return a.sender == b.sender &&
+                                  a.release == b.release;
+                         }));
+
+  util::Rng rng(0x7401D5);
+  for (int i = 0; i < 50; ++i) {
+    const Scenario mutant = mutate_scenario(seven, nullptr, rng);
+    EXPECT_LE(mutant.holds.size(), 6u) << format_spec(mutant);
+    EXPECT_TRUE(inside_envelope(mutant)) << format_spec(mutant);
+  }
+}
+
 TEST(FuzzMutation, ScriptedMutantsRunCleanAndExerciseScriptedPaths) {
   // Scripted mutants inside their envelopes must run violation-free, and
   // the scripted scheduler really drives the runs (nonzero traffic,
