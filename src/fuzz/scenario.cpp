@@ -386,7 +386,10 @@ constexpr std::tuple kLists{
         },
         1, {},
         // recv toward 1, ack toward the shrunk recv, each delay toward 1.
+        // A slot with listed delays has no recv of its own to search:
+        // normalize sets it to the largest delay.
         [](ScriptSlot& t, std::size_t k) -> std::optional<Slot> {
+          if (!t.delays.empty()) ++k;
           if (k < 2) return k == 0 ? Slot{1, &t.recv} : Slot{t.recv, &t.ack};
           if (k - 2 >= t.delays.size()) return std::nullopt;
           return Slot{1, &t.delays[k - 2].second};

@@ -207,6 +207,49 @@ TEST(FuzzSpec, PerReceiverDelaysAreCanonicalizedByNormalize) {
   EXPECT_EQ(format_spec(*parsed), format_spec(s));
 }
 
+TEST(FuzzShrinker, PhaseTwoNeverProbesAnUnchangedSpec) {
+  // Phase 2 binary-searches every searchable value the way shrink_scenario
+  // does. A per-receiver slot's recv is not one: normalize overwrites it
+  // with the largest listed delay, so probing it would rerun the current
+  // scenario. Walk every search to its end, once rejecting every probe
+  // and once accepting every one, and require each normalized probe to
+  // differ from the scenario it was made from.
+  const auto base = parse_spec(
+      "amacfuzz1:seed=1:alg=flooding:topo=clique:n=6:aux=0:sched=scripted:"
+      "fack=30:late=0:in=split:ids=identity:f=0:hz=1000000:"
+      "script=0@0@30@1-20+3-25");
+  ASSERT_TRUE(base.has_value());
+  for (const bool accept : {false, true}) {
+    Scenario s = *base;
+    std::size_t probes = 0;
+    const ValueSearch search = [&](mac::Time floor, mac::Time value,
+                                   const ValueSetter& set) {
+      bool reduced = false;
+      mac::Time lo = floor;
+      mac::Time hi = value;
+      while (lo < hi) {
+        const mac::Time mid = lo + (hi - lo) / 2;
+        Scenario cand = s;
+        set(cand, mid);
+        normalize_scenario(cand);
+        ++probes;
+        EXPECT_NE(format_spec(cand), format_spec(s))
+            << "probe " << mid << " of " << format_spec(s);
+        if (accept) {
+          s = cand;
+          reduced = true;
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      return reduced;
+    };
+    search_values(s, search);
+    EXPECT_GT(probes, 0u);
+  }
+}
+
 TEST(FuzzMutation, DeterministicGivenRngState) {
   const Scenario base = generate_scenario(7);
   const Scenario partner = generate_scenario(8);
