@@ -65,44 +65,26 @@ mac::ProcessFactory ReplicatedLog::slot_factory(std::size_t slot,
                                                 SlotMode mode,
                                                 mac::Value forced,
                                                 WarmSnapshot warm) const {
-  const auto warm_start =
-      [](const WarmSnapshot& w,
-         NodeId u) -> std::optional<core::wpaxos::WarmStart> {
-    if (w == nullptr) return std::nullopt;
-    return (*w)[u];
-  };
-  switch (mode) {
-    case SlotMode::kElective: {
-      // Renewal slot: node u proposes encode_renewal(slot, u), so the
-      // winning proposer's identity rides the decided value — the slot IS
-      // the election, and validity guarantees the decoded leader proposed.
-      const std::size_t n = n_;
-      const auto wpaxos = config_.wpaxos;
-      return [slot, n, wpaxos, warm,
-              warm_start](NodeId u) -> std::unique_ptr<mac::Process> {
-        return std::make_unique<core::wpaxos::WPaxos>(
-            u, n, encode_renewal(slot, u), wpaxos, warm_start(warm, u));
-      };
-    }
-    case SlotMode::kForcedPaxos: {
-      // Every node proposes the same value, so validity alone forces the
-      // decision — used for slow-path slots while the lease is broken and
-      // for recovery relaunches that must re-decide a carried-over value.
-      const std::size_t n = n_;
-      const auto wpaxos = config_.wpaxos;
-      return [n, forced, wpaxos, warm,
-              warm_start](NodeId u) -> std::unique_ptr<mac::Process> {
-        return std::make_unique<core::wpaxos::WPaxos>(u, n, forced, wpaxos,
-                                                      warm_start(warm, u));
-      };
-    }
-    case SlotMode::kLeased:
-      break;
+  if (mode == SlotMode::kLeased) {
+    const NodeId leader = current_leader_;
+    const auto value = static_cast<mac::Value>(slot);
+    return [leader, value](NodeId u) -> std::unique_ptr<mac::Process> {
+      return std::make_unique<core::CommitFlood>(u == leader, value);
+    };
   }
-  const NodeId leader = current_leader_;
-  const auto value = static_cast<mac::Value>(slot);
-  return [leader, value](NodeId u) -> std::unique_ptr<mac::Process> {
-    return std::make_unique<core::CommitFlood>(u == leader, value);
+  // Elective (renewal) slot: node u proposes encode_renewal(slot, u), so
+  // the winning proposer's identity rides the decided value — the slot IS
+  // the election, and validity guarantees the decoded leader proposed.
+  // Forced slot: every node proposes `forced`, so validity alone forces the
+  // decision — used for slow-path slots while the lease is broken and for
+  // recovery relaunches that must re-decide a carried-over value.
+  const bool elective = mode == SlotMode::kElective;
+  return [slot, elective, forced, n = n_, wpaxos = config_.wpaxos,
+          warm = std::move(warm)](NodeId u) -> std::unique_ptr<mac::Process> {
+    std::optional<core::wpaxos::WarmStart> start;
+    if (warm != nullptr) start = (*warm)[u];
+    return std::make_unique<core::wpaxos::WPaxos>(
+        u, n, elective ? encode_renewal(slot, u) : forced, wpaxos, start);
   };
 }
 
@@ -131,48 +113,42 @@ void ReplicatedLog::launch_ready_slots() {
   }
 }
 
-std::size_t ReplicatedLog::crashed_count() const {
-  std::size_t crashed = 0;
-  for (std::size_t u = 0; u < n_; ++u) {
-    crashed += net_.crashed(static_cast<NodeId>(u)) ? 1 : 0;
-  }
-  return crashed;
-}
-
 void ReplicatedLog::capture_warm(mac::InstanceId instance) {
   // Valid only if every live node agrees on one live leader and has a
   // tree entry toward it through a live parent. Parent pointers only ever
   // move to a neighbour with a smaller distance, so the live nodes'
   // parents then form a tree that reaches the leader.
   warm_.reset();
-  auto snapshot = std::make_shared<std::vector<core::wpaxos::WarmStart>>(n_);
-  std::optional<std::uint64_t> leader;
-  for (std::size_t u = 0; u < n_; ++u) {
-    const auto node = static_cast<NodeId>(u);
-    if (net_.crashed(node)) continue;
-    const auto& p =
-        dynamic_cast<const core::wpaxos::WPaxos&>(net_.process(node, instance));
-    const std::optional<core::wpaxos::WarmStart> c = p.converged();
-    if (!c || (leader && c->leader != *leader)) return;
-    leader = c->leader;
-    (*snapshot)[u] = *c;
-  }
-  if (!leader) return;
   const auto live = [this](std::uint64_t id) {
     return id < n_ && !net_.crashed(static_cast<NodeId>(id));
   };
-  if (!live(*leader)) return;
+  auto snapshot = std::make_shared<std::vector<core::wpaxos::WarmStart>>(n_);
+  std::optional<std::uint64_t> leader;
+  std::size_t crashed = 0;
   for (std::size_t u = 0; u < n_; ++u) {
-    if (!net_.crashed(static_cast<NodeId>(u)) && !live((*snapshot)[u].parent)) {
-      return;
+    if (!live(u)) {
+      ++crashed;
+      continue;
     }
+    const auto& p = dynamic_cast<const core::wpaxos::WPaxos&>(
+        net_.process(static_cast<NodeId>(u), instance));
+    const std::optional<core::wpaxos::WarmStart> c = p.converged();
+    if (!c || (leader && c->leader != *leader) || !live(c->parent)) return;
+    leader = c->leader;
+    (*snapshot)[u] = *c;
   }
+  if (!leader || !live(*leader)) return;
   warm_ = std::move(snapshot);
-  warm_crashed_ = crashed_count();
+  warm_crashed_ = crashed;
 }
 
 ReplicatedLog::WarmSnapshot ReplicatedLog::warm_snapshot() {
-  if (warm_ != nullptr && crashed_count() != warm_crashed_) warm_.reset();
+  if (warm_ == nullptr) return nullptr;
+  std::size_t crashed = 0;
+  for (std::size_t u = 0; u < n_; ++u) {
+    crashed += net_.crashed(static_cast<NodeId>(u)) ? 1 : 0;
+  }
+  if (crashed != warm_crashed_) warm_.reset();
   return warm_;
 }
 

@@ -21,6 +21,13 @@
 //     node deciding on first receipt. One dissemination wave per slot
 //     instead of a full proposer/acceptor exchange — the Lemma 4.2-style
 //     amortization: coordination is paid once per lease, not once per op.
+//   * Full-paxos slots (renewals, slow-path slots) start WARM once one has
+//     decided: each node reuses the Omega and tree entry the last decided
+//     full-paxos slot converged to, so a slot skips leader election and
+//     tree building and pays only the prepare, propose and decide floods.
+//     The snapshot is valid only if every live node agrees on a live
+//     leader and has a live parent toward it; recovery and any new crash
+//     drop it, and slots run cold until one decides again.
 //   * Batching multiplies the win: one decided value commits `batch_size`
 //     client ops, so bytes-per-op and slots-per-op both shrink.
 //   With lease_slots = 1 and batch_size = 1 the same code path IS the
@@ -235,14 +242,15 @@ class ReplicatedLog {
   }
   /// Per-node warm starts, indexed by node id (crashed nodes' entries
   /// unused). Shared by every factory that launches from it.
-  using WarmSnapshot = std::shared_ptr<const std::vector<core::wpaxos::WarmStart>>;
+  using WarmSnapshot =
+      std::shared_ptr<const std::vector<core::wpaxos::WarmStart>>;
 
   [[nodiscard]] mac::ProcessFactory slot_factory(std::size_t slot,
                                                  SlotMode mode,
                                                  mac::Value forced,
                                                  WarmSnapshot warm) const;
-  [[nodiscard]] std::size_t crashed_count() const;
   void capture_warm(mac::InstanceId instance);
+  /// warm_, dropped first if the crashed set changed since its capture.
   [[nodiscard]] WarmSnapshot warm_snapshot();
   bool pump();
   [[nodiscard]] bool any_decided(mac::InstanceId instance) const;
