@@ -158,25 +158,6 @@ std::size_t Network::in_flight_from(NodeId sender,
   return flights_[slot].undrained_events;
 }
 
-void Network::for_each_in_flight(
-    const std::function<void(NodeId, NodeId, const util::Buffer&)>& fn) const {
-  for (NodeId u = 0; u < nodes_.size(); ++u) {
-    // A crashed sender's undelivered copies will never arrive; they are no
-    // longer "in flight" for accounting purposes.
-    if (nodes_[u].crashed) continue;
-    for (const Instance& inst : instances_) {
-      const std::uint32_t slot = inst.nodes[u].flight_slot;
-      if (slot == kNoFlight) continue;
-      const Flight& flight = flights_[slot];
-      const util::Buffer& payload = pool_.at(flight.payload_slot);
-      for (const NodeId receiver : flight.pending) {
-        if (receiver == kNoNode) continue;  // tombstone: already delivered
-        fn(u, receiver, payload);
-      }
-    }
-  }
-}
-
 void Network::release_flight(std::uint32_t slot) {
   Flight& flight = flights_[slot];
   AMAC_ENSURES(flight.undrained_events == 0);

@@ -73,12 +73,16 @@
 // when the flight's last deliver event drains, so it outlives every event
 // that names it.
 //
-// Flat flights. Flight records live in a slot vector with a free list; the
-// broadcast id is only carried for assertions. Each (node, instance) pair
-// has at most one live flight (a node's instance is busy until its ack, and
-// the ack pops after the flight's last delivery), so the per-instance node
-// state holds the sender's flight slot directly: in_flight_from is O(1) and
-// for_each_in_flight is O(active flights), not O(all flights ever).
+// Flat flights. Flight records live in a slot vector with a free list.
+// Each (node, instance) pair has at most one live flight (a node's
+// instance is busy until its ack, and the ack pops after the flight's last
+// delivery), so the per-instance node state holds the sender's flight slot
+// directly: in_flight_from is O(1) and for_each_flight is O(active
+// flights), not O(all flights ever). for_each_flight hands each live
+// flight to its visitor whole — sender, instance, broadcast id, payload
+// and pending list — so an observer decodes a payload once per broadcast
+// (keyed on the id) and counts copies from the list instead of taking a
+// call per copy.
 //
 // Zero-allocation steady state. After warm-up (pool slots, lane and scratch
 // capacities grown), the broadcast -> deliver -> ack cycle performs zero
@@ -171,6 +175,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "mac/calendar_queue.hpp"
@@ -371,17 +376,41 @@ class Network {
   [[nodiscard]] std::size_t in_flight_from(NodeId sender,
                                            InstanceId instance) const;
 
-  /// Visits every in-flight copy as (sender, receiver-not-yet-delivered,
-  /// payload), across all instances (instance 0 first per sender). Used by
-  /// the Lemma 4.2 response-count conservation monitor, whose invariant
-  /// Q(p, s) sums over exactly these messages. Cost is O(active flights),
-  /// not O(every flight in the simulation). One flight's copies are
-  /// visited consecutively, all with the same payload reference (its pool
-  /// slot), so a visitor can decode each flight once by remembering the
-  /// last payload address.
-  void for_each_in_flight(
-      const std::function<void(NodeId, NodeId, const util::Buffer&)>& fn)
-      const;
+  /// One live broadcast as for_each_flight shows it. The references point
+  /// into the engine's flight and pool storage and are valid only during
+  /// the visitor call.
+  struct FlightView {
+    NodeId sender;
+    InstanceId instance;
+    std::uint64_t broadcast_id;       ///< unique per broadcast
+    const util::Buffer& payload;
+    std::span<const NodeId> pending;  ///< receivers; kNoNode = delivered
+  };
+
+  /// Calls `fn(const FlightView&)` once per live flight of a non-crashed
+  /// sender, across all instances, in sender order (instance order per
+  /// sender). A crashed sender's undelivered copies never arrive, so they
+  /// are not in flight. The copies still in flight are the non-kNoNode
+  /// entries of `pending`; a duplicated copy appears twice. Used by the
+  /// Lemma 4.2 response-count conservation monitor, whose invariant
+  /// Q(p, s) sums over exactly these copies. Cost is O(active flights)
+  /// calls, not O(every flight in the simulation).
+  template <typename Fn>
+  void for_each_flight(Fn&& fn) const {
+    for (NodeId u = 0; u < nodes_.size(); ++u) {
+      if (nodes_[u].crashed) continue;
+      for (const Instance& inst : instances_) {
+        const std::uint32_t slot = inst.nodes[u].flight_slot;
+        if (slot == kNoFlight) continue;
+        const Flight& flight = flights_[slot];
+        fn(FlightView{.sender = u,
+                      .instance = flight.instance,
+                      .broadcast_id = flight.id,
+                      .payload = pool_.at(flight.payload_slot),
+                      .pending = flight.pending});
+      }
+    }
+  }
 
   /// True once every non-crashed node decided in every live instance.
   [[nodiscard]] bool all_alive_decided() const;
@@ -445,7 +474,7 @@ class Network {
   struct Flight {
     NodeId sender = kNoNode;
     std::uint32_t payload_slot = 0;
-    std::uint64_t id = 0;                 ///< broadcast id (assertions)
+    std::uint64_t id = 0;                 ///< broadcast id
     std::uint64_t first_seq = 0;          ///< seq of the first deliver event
     InstanceId instance = 0;              ///< owning protocol instance
     std::vector<NodeId> pending;          ///< receivers; kNoNode = delivered

@@ -140,16 +140,6 @@ std::size_t ReferenceNetwork::in_flight_from(NodeId sender) const {
   return count;
 }
 
-void ReferenceNetwork::for_each_in_flight(
-    const std::function<void(NodeId, NodeId, const util::Buffer&)>& fn) const {
-  for (const auto& [id, flight] : flights_) {
-    if (nodes_[flight.sender].crashed) continue;
-    for (const NodeId receiver : flight.pending) {
-      fn(flight.sender, receiver, *flight.payload);
-    }
-  }
-}
-
 void ReferenceNetwork::start_broadcast(NodeId u, InstanceId instance,
                                        const util::Buffer& payload) {
   if (nodes_[u].crashed) return;

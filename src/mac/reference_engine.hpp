@@ -89,12 +89,6 @@ class ReferenceNetwork {
 
   [[nodiscard]] std::size_t in_flight_from(NodeId sender) const;
 
-  /// Same contract as Network::for_each_in_flight: one flight's copies are
-  /// visited consecutively, all with the same payload reference.
-  void for_each_in_flight(
-      const std::function<void(NodeId, NodeId, const util::Buffer&)>& fn)
-      const;
-
   [[nodiscard]] bool all_alive_decided() const;
   [[nodiscard]] bool instance_all_decided(InstanceId instance) const;
 

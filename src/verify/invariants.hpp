@@ -25,7 +25,9 @@
 // oracles still run unconditionally.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/wpaxos/wpaxos.hpp"
@@ -35,8 +37,25 @@ namespace amac::verify {
 
 class ResponseConservationMonitor {
  public:
-  /// `index_to_id` maps engine node index -> wPAXOS algorithm id. Every
-  /// process in the network must be a WPaxos built with
+  /// One active proposition and its Lemma 4.2 terms in one check.
+  struct Tally {
+    NodeId proposer = 0;  ///< engine index
+    core::wpaxos::ProposalNumber pn;
+    core::wpaxos::AcceptorResponse::Stage stage =
+        core::wpaxos::AcceptorResponse::Stage::kPrepare;
+    std::uint64_t yes = 0;  ///< c(p): responses the proposer consumed
+    std::uint64_t queued = 0;
+    std::uint64_t in_flight = 0;
+    std::uint64_t responded = 0;
+
+    [[nodiscard]] bool matches(const core::wpaxos::AcceptorResponse& r) const {
+      return r.positive && r.pn == pn && r.stage == stage;
+    }
+    bool operator==(const Tally&) const = default;
+  };
+
+  /// `index_to_id` maps engine node index -> wPAXOS algorithm id (ids are
+  /// distinct). Every process in the network must be a WPaxos built with
   /// config.track_responses = true.
   explicit ResponseConservationMonitor(std::vector<std::uint64_t> index_to_id);
 
@@ -46,34 +65,41 @@ class ResponseConservationMonitor {
   ///
   /// Cost per check, with P active propositions: one pass over the nodes
   /// (P response-log lookups and a P-way match per queued response at each
-  /// node) and one for_each_in_flight pass that decodes each in-flight
-  /// payload once — the engines visit one flight's copies consecutively —
-  /// and matches each addressed copy against the P propositions.
+  /// node; the WPaxos type check runs only when a node's process changes)
+  /// and one for_each_flight pass over the live flights. A flight's
+  /// payload is decoded only when its sender's broadcast id differs from
+  /// the one cached for that sender, so each broadcast is decoded once over
+  /// the whole run, not once per check; a flight whose cached response
+  /// matches one of the P propositions then counts the copies of the
+  /// response's next hop in its pending list.
   void check(mac::Network& net);
 
   [[nodiscard]] bool violated() const { return violated_; }
   [[nodiscard]] const std::string& report() const { return report_; }
   [[nodiscard]] std::uint64_t checks_performed() const { return checks_; }
+  /// Payload decodes over the monitor's lifetime.
+  [[nodiscard]] std::uint64_t decodes_performed() const { return decodes_; }
+  /// The terms of every active proposition in the last check, in proposer
+  /// index order.
+  [[nodiscard]] const std::vector<Tally>& tallies() const { return active_; }
 
  private:
-  /// One active proposition and its Lemma 4.2 terms in the current check.
-  struct Tally {
-    NodeId proposer = 0;
-    core::wpaxos::WPaxos::ProposerSnapshot snap;
-    std::uint64_t queued = 0;
-    std::uint64_t in_flight = 0;
-    std::uint64_t responded = 0;
-
-    [[nodiscard]] bool matches(const core::wpaxos::AcceptorResponse& r) const {
-      return r.positive && r.pn == snap.pn && r.stage == snap.stage;
-    }
+  /// The last broadcast decoded for one sender.
+  struct DecodedFlight {
+    std::uint64_t broadcast_id = 0;  ///< 0: none yet (ids start at 1)
+    std::optional<core::wpaxos::AcceptorResponse> response;
+    NodeId dest = kNoNode;  ///< engine index of response->dest, if any
   };
 
   std::vector<std::uint64_t> index_to_id_;
+  std::unordered_map<std::uint64_t, NodeId> id_to_index_;
+  std::vector<const mac::Process*> checked_;  ///< last type-checked process
+  std::vector<DecodedFlight> decoded_;        ///< per sender
   std::vector<Tally> active_;  ///< per-check scratch, capacity reused
   bool violated_ = false;
   std::string report_;
   std::uint64_t checks_ = 0;
+  std::uint64_t decodes_ = 0;
 };
 
 /// Lemma 4.4: the largest proposal tag any node has used or seen.

@@ -132,12 +132,14 @@ inline std::uint64_t engine_digest(const mac::Network& net) {
   h.mix_u64(pool.live_count());
   h.mix_u64(pool.acquires());
   h.mix_u64(pool.reuses());
-  net.for_each_in_flight(
-      [&h](NodeId sender, NodeId receiver, const util::Buffer& payload) {
-        h.mix_u64(sender);
-        h.mix_u64(receiver);
-        h.mix_bytes(payload);
-      });
+  net.for_each_flight([&h](const mac::Network::FlightView& flight) {
+    for (const NodeId receiver : flight.pending) {
+      if (receiver == kNoNode) continue;  // already delivered
+      h.mix_u64(flight.sender);
+      h.mix_u64(receiver);
+      h.mix_bytes(flight.payload);
+    }
+  });
   return h.digest();
 }
 

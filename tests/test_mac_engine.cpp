@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "helpers.hpp"
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
@@ -136,9 +138,18 @@ TEST(Engine, InFlightTracking) {
   Network net(g, probe_factory(1), sched);
   net.run(StopWhen::kQuiescent, 5);  // mid-flight: deliveries due at t=10
   EXPECT_EQ(net.in_flight_from(0), 2u);
+  std::size_t flights = 0;
   std::size_t copies = 0;
-  net.for_each_in_flight(
-      [&](NodeId, NodeId, const util::Buffer&) { ++copies; });
+  net.for_each_flight([&](const Network::FlightView& flight) {
+    EXPECT_EQ(flight.sender, flights);  // sender order
+    EXPECT_EQ(flight.broadcast_id, flights + 1);
+    EXPECT_EQ(flight.payload.size(), 1u);
+    ++flights;
+    copies += static_cast<std::size_t>(
+        std::count_if(flight.pending.begin(), flight.pending.end(),
+                      [](NodeId r) { return r != kNoNode; }));
+  });
+  EXPECT_EQ(flights, 3u);
   EXPECT_EQ(copies, 6u);  // 3 broadcasts x 2 receivers
   net.run(StopWhen::kQuiescent, 1000);
   EXPECT_EQ(net.in_flight_from(0), 0u);

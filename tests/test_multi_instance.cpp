@@ -377,7 +377,7 @@ TEST(MultiInstance, RetiredRunDrainIsInvisibleBetweenRuns) {
   // runs, which the engine drops in one step. A no-op hook turns the drop
   // off; every stop must look the same both ways. Duplicates keep some
   // retired flights live past their dropped run (their tombstones show in
-  // for_each_in_flight), and tenants that decide at start make some runs
+  // for_each_flight), and tenants that decide at start make some runs
   // stop right after a retired copy pops: the rest of its run must still
   // be queued when the next launch pushes (peak_events sees it).
   const std::size_t n = 8;

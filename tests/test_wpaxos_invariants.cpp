@@ -14,10 +14,13 @@ using core::wpaxos::AcceptorResponse;
 using core::wpaxos::WireEnvelope;
 using core::wpaxos::WPaxos;
 
+using Tally = ResponseConservationMonitor::Tally;
+
 /// The monitor's original per-proposer check, kept here as the reference
 /// the one-pass ResponseConservationMonitor must agree with: for each
 /// active proposer in index order it rescans every queue and decodes every
-/// in-flight copy again.
+/// in-flight copy again. It tallies every active proposer before reporting
+/// the first violator, so its terms can be compared with the monitor's.
 class PerProposerMonitor {
  public:
   explicit PerProposerMonitor(std::vector<std::uint64_t> index_to_id)
@@ -26,41 +29,43 @@ class PerProposerMonitor {
   void check(mac::Network& net) {
     if (violated_) return;
     ++checks_;
+    tallies_.clear();
     const std::size_t n = net.node_count();
     for (NodeId pu = 0; pu < n; ++pu) {
       const auto* proposer = dynamic_cast<const WPaxos*>(&net.process(pu));
       const auto snap = proposer->proposer_snapshot();
       if (!snap.active) continue;
-      const auto matches = [&](const AcceptorResponse& r) {
-        return r.positive && r.pn == snap.pn && r.stage == snap.stage;
-      };
-      std::uint64_t queued = 0;
-      std::uint64_t responded = 0;
+      Tally t{.proposer = pu, .pn = snap.pn, .stage = snap.stage,
+              .yes = snap.yes};
       for (NodeId u = 0; u < n; ++u) {
         const auto* node = dynamic_cast<const WPaxos*>(&net.process(u));
         for (const auto& r : node->response_queue()) {
-          if (matches(r)) queued += r.count;
+          if (t.matches(r)) t.queued += r.count;
         }
-        if (node->responded_positive(snap.pn, snap.stage)) ++responded;
+        if (node->responded_positive(snap.pn, snap.stage)) ++t.responded;
       }
-      std::uint64_t in_flight = 0;
-      net.for_each_in_flight([&](NodeId, NodeId receiver,
-                                 const util::Buffer& payload) {
-        const WireEnvelope env = WireEnvelope::decode(payload);
-        if (!env.body.response) return;
-        const AcceptorResponse& r = *env.body.response;
-        if (matches(r) && index_to_id_[receiver] == r.dest) {
-          in_flight += r.count;
+      net.for_each_flight([&](const mac::Network::FlightView& flight) {
+        for (const NodeId receiver : flight.pending) {
+          if (receiver == kNoNode) continue;
+          const WireEnvelope env = WireEnvelope::decode(flight.payload);
+          if (!env.body.response) continue;
+          const AcceptorResponse& r = *env.body.response;
+          if (t.matches(r) && index_to_id_[receiver] == r.dest) {
+            t.in_flight += r.count;
+          }
         }
       });
-      if (snap.yes + queued + in_flight > responded) {
+      tallies_.push_back(t);
+    }
+    for (const Tally& t : tallies_) {
+      if (t.yes + t.queued + t.in_flight > t.responded) {
         violated_ = true;
         std::ostringstream os;
         os << "Lemma 4.2 violation at t=" << net.now() << ": proposer id "
-           << index_to_id_[pu] << " pn=(" << snap.pn.tag << "," << snap.pn.id
-           << ") stage=" << static_cast<int>(snap.stage) << ": c=" << snap.yes
-           << " + queued=" << queued << " + in_flight=" << in_flight
-           << " > responded=" << responded;
+           << index_to_id_[t.proposer] << " pn=(" << t.pn.tag << ","
+           << t.pn.id << ") stage=" << static_cast<int>(t.stage)
+           << ": c=" << t.yes << " + queued=" << t.queued
+           << " + in_flight=" << t.in_flight << " > responded=" << t.responded;
         report_ = os.str();
         return;
       }
@@ -70,9 +75,11 @@ class PerProposerMonitor {
   [[nodiscard]] bool violated() const { return violated_; }
   [[nodiscard]] const std::string& report() const { return report_; }
   [[nodiscard]] std::uint64_t checks_performed() const { return checks_; }
+  [[nodiscard]] const std::vector<Tally>& tallies() const { return tallies_; }
 
  private:
   std::vector<std::uint64_t> index_to_id_;
+  std::vector<Tally> tallies_;
   bool violated_ = false;
   std::string report_;
   std::uint64_t checks_ = 0;
@@ -82,11 +89,14 @@ struct MonitoredRun {
   ResponseConservationMonitor monitor;
   bool condition_met = false;
   ConsensusVerdict verdict;
+  std::uint64_t broadcasts = 0;
 };
 
 /// Runs wPAXOS on `g` with the monitor and the per-proposer reference both
 /// checking after every event. Expects the two to agree on violated(),
-/// report() and checks_performed() after every event.
+/// report(), checks_performed() and every term of every active proposition
+/// after every event: a stale in-flight count only hides violations, so
+/// comparing verdicts alone would miss it.
 MonitoredRun run_both_monitors(const net::Graph& g, std::uint64_t seed,
                                core::wpaxos::WPaxosConfig cfg,
                                const mac::LinkFaultPlan& faults = {}) {
@@ -103,23 +113,28 @@ MonitoredRun run_both_monitors(const net::Graph& g, std::uint64_t seed,
   PerProposerMonitor reference(ids);
   std::uint64_t events = 0;
   std::uint64_t disagreements = 0;
+  std::uint64_t tallied = 0;
   net.set_post_event_hook([&](mac::Network& network) {
     monitor.check(network);
     reference.check(network);
     ++events;
+    tallied += monitor.tallies().size();
     if (monitor.violated() != reference.violated() ||
         monitor.report() != reference.report() ||
-        monitor.checks_performed() != reference.checks_performed()) {
+        monitor.checks_performed() != reference.checks_performed() ||
+        monitor.tallies() != reference.tallies()) {
       ++disagreements;
     }
   });
   const auto result = net.run(mac::StopWhen::kAllDecided, 1'000'000);
   EXPECT_EQ(disagreements, 0u) << "over " << events << " events";
+  EXPECT_GT(tallied, 0u);
   // A violated monitor stops checking; until then it checks every event.
   if (!monitor.violated()) {
     EXPECT_EQ(monitor.checks_performed(), events);
   }
-  return {monitor, result.condition_met, check_consensus(net, inputs)};
+  return {monitor, result.condition_met, check_consensus(net, inputs),
+          net.stats().broadcasts};
 }
 
 void run_with_monitor(const net::Graph& g, std::uint64_t seed,
@@ -153,6 +168,21 @@ TEST(Lemma42, HoldsUnderProposalStorm) {
   core::wpaxos::WPaxosConfig cfg;
   cfg.change_gating = false;
   run_with_monitor(net::make_line(6), 8, cfg);
+}
+
+TEST(Lemma42, DecodesEachBroadcastAtMostOnce) {
+  // The monitor caches one decoded response per sender, keyed on the
+  // broadcast id, so a payload is decoded at most once however many checks
+  // see its flight. The per-proposer reference decodes every copy at every
+  // check.
+  for (const auto& [g, seed] : {std::pair{net::make_grid(3, 3), 3},
+                                std::pair{net::make_clique(7), 4}}) {
+    const auto run = run_both_monitors(g, seed, {});
+    ASSERT_TRUE(run.condition_met);
+    EXPECT_FALSE(run.monitor.violated()) << run.monitor.report();
+    EXPECT_GT(run.monitor.decodes_performed(), 0u);
+    EXPECT_LE(run.monitor.decodes_performed(), run.broadcasts);
+  }
 }
 
 TEST(Lemma42, FiresWhenDuplicatedResponsesAreCounted) {
