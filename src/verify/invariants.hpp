@@ -69,9 +69,9 @@ class ResponseConservationMonitor {
   /// and one for_each_flight pass over the live flights. A flight's
   /// payload is decoded only when its sender's broadcast id differs from
   /// the one cached for that sender, so each broadcast is decoded once over
-  /// the whole run, not once per check; a flight whose cached response
-  /// matches one of the P propositions then counts the copies of the
-  /// response's next hop in its pending list.
+  /// the whole run, not once per check. A flight that carries a response
+  /// then counts the copies addressed to the response's next hop in its
+  /// pending list and adds them to each of the P propositions it matches.
   void check(mac::Network& net);
 
   [[nodiscard]] bool violated() const { return violated_; }
